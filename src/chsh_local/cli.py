@@ -11,6 +11,10 @@ Subcommands:
 * `branch` prints the branch tree of one question pair.
 * `verify` runs the picture-equivalence and locality suites and exits 0
   only when both pass.
+
+Exit codes: 0 success; 1 a failed check or a bad input (`error: ...`);
+2 a usage error; 3 a violated internal invariant, such as protocol drift
+or broken commutation (`error: invariant violated: ...`).
 """
 
 from __future__ import annotations
@@ -100,9 +104,9 @@ def _cmd_play(args: argparse.Namespace) -> int:
     if mode == "mixed" and weights is None:
         weights = tuple(Fraction(1, 16) for _ in range(16))
     cfg = TournamentConfig(
-        rounds=int(_merged(args, config, "rounds", 1000)),
+        rounds=_merged(args, config, "rounds", 1000),
         mode=mode,
-        seed=int(_merged(args, config, "seed", 0)),
+        seed=_merged(args, config, "seed", 0),
         sampling=sampling,
         strategy=strategy,
         weights=weights,
@@ -240,6 +244,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RuntimeError as e:
+        print(f"error: invariant violated: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,13 +3,27 @@
 The reference state is pinned to |0...0> for the life of a network and never
 changes; all dynamics lives in operators.  Each qubit owns a *descriptor*, a
 pair of evolved Pauli generators (qx, qz), and a gate rewrites only the
-descriptors of the qubits it targets.  Descriptors of untouched qubits are
-carried over verbatim, which is exact, not an approximation: the embedded
-gate matrix commutes with the initial Paulis of every qubit it does not act
-on, so conjugating by the new cumulative unitary returns the stored matrix
-unchanged.  Locality is therefore a structural property of the data, and
+descriptors of the qubits it targets, from those qubits' current
+descriptors (the local update rule of Deutsch & Hayden, "Information flow
+in entangled quantum systems", Proc. R. Soc. A 456 (2000),
+quant-ph/9906007).  A gate G maps a target's generators to the images of
+G^dagger P G written in the targets' current generators:
+
+* H swaps (qx, qz); X negates qz, Z negates qx, Y negates both;
+* ROTY(theta): qx <- cos(theta) qx + sin(theta) qz,
+  qz <- cos(theta) qz - sin(theta) qx;
+* CNOT(c, t): qx_c <- qx_c qx_t and qz_t <- qz_c qz_t; qz_c and qx_t are
+  unchanged.
+
+Descriptors of untouched qubits are carried over verbatim, object identity
+included, so locality is a structural property of the data and
 :func:`locality_audit` can demand bit-for-bit equality rather than a
 tolerance.
+
+The cumulative unitary U of a network is audit-only: it is not stored but
+rebuilt from the gate log on request, and :func:`recomputed_components`
+conjugates the initial Paulis by it densely: a second route that shares
+nothing with the update rule.
 
 Outcome statistics are extracted as *branch measures*: the squared-amplitude
 weight of a history, read as the expectation of a projector against the fixed
@@ -117,20 +131,32 @@ class Descriptor:
 class DescriptorNetwork:
     """Ordered descriptors of an n-qubit register plus an audit trail.
 
-    The cumulative unitary is maintained for audits only; measures and gate
-    application read it, but the per-qubit truth lives in the descriptors.
+    The per-qubit truth lives in the descriptors; gate application and the
+    measures read only those.  The gate log is the audit trail: the
+    cumulative unitary is rebuilt from it on each read, for audits only.
     Networks are values: gate application returns a new network and never
     mutates arrays, so distinct networks may evolve in parallel freely.
     """
 
     n: int
     descriptors: tuple[Descriptor, ...]
-    cumulative_unitary: np.ndarray
     gate_log: tuple[GateSpec, ...] = ()
 
     @property
     def dim(self) -> int:
         return 2**self.n
+
+    @property
+    def cumulative_unitary(self) -> np.ndarray:
+        """Audit-only product of the embedded gates of `gate_log`, latest on the left.
+
+        Rebuilt densely on every read (one matmul per logged gate), so it
+        costs nothing on the gate-application path.
+        """
+        unitary = linalg.identity(self.dim)
+        for g in self.gate_log:
+            unitary = linalg.matmul(embedded_gate(g, self.n), unitary)
+        return _frozen(unitary)
 
 
 def _single_qubit_matrix(g: GateSpec) -> np.ndarray:
@@ -140,7 +166,7 @@ def _single_qubit_matrix(g: GateSpec) -> np.ndarray:
 
 
 def embedded_gate(g: GateSpec, n: int) -> np.ndarray:
-    """Full 2**n matrix of a gate at its target slots."""
+    """Full 2**n matrix of a gate at its target slots (audit route only)."""
     g.validate_for(n)
     if g.name == "CNOT":
         control, target = g.targets
@@ -163,14 +189,6 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _conjugated_pair(u: np.ndarray, qubit: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """dagger(u) P u for both initial Paulis of one qubit."""
-    ud = linalg.dagger(u)
-    qx = linalg.matmul(ud, linalg.matmul(_initial_pauli(linalg.X, qubit, n), u))
-    qz = linalg.matmul(ud, linalg.matmul(_initial_pauli(linalg.Z, qubit, n), u))
-    return _frozen(qx), _frozen(qz)
-
-
 def init_network(n: int) -> DescriptorNetwork:
     """Fresh n-qubit network: descriptor k holds the embedded Paulis of slot k."""
     if not 1 <= n <= MAX_QUBITS:
@@ -183,36 +201,50 @@ def init_network(n: int) -> DescriptorNetwork:
         )
         for k in range(n)
     )
-    return DescriptorNetwork(
-        n=n,
-        descriptors=descriptors,
-        cumulative_unitary=_frozen(linalg.identity(2**n)),
-        gate_log=(),
-    )
+    return DescriptorNetwork(n=n, descriptors=descriptors)
+
+
+def _single_qubit_update(
+    g: GateSpec, qx: np.ndarray, qz: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """New (qx, qz) of a single-qubit gate's target from its current pair."""
+    if g.name == "H":
+        return qz, qx
+    if g.name == "X":
+        return qx, _frozen(-qz)
+    if g.name == "Z":
+        return _frozen(-qx), qz
+    if g.name == "Y":
+        return _frozen(-qx), _frozen(-qz)
+    c, s = np.cos(g.theta), np.sin(g.theta)
+    return _frozen(c * qx + s * qz), _frozen(c * qz - s * qx)
 
 
 def apply_gate(net: DescriptorNetwork, g: GateSpec) -> DescriptorNetwork:
     """Apply a gate, rewriting only the targeted qubits' descriptors.
 
-    The cumulative unitary picks up the embedded gate on the left; each
-    targeted descriptor is recomputed from scratch as dagger(U) P U against
-    its initial Pauli.  Non-targets keep their stored arrays, object
-    identity included.
+    Each new target descriptor is computed from the targets' current
+    descriptors by the local update rule in the module docstring: sign
+    flips, a swap or a rotation for single-qubit gates, and one matrix
+    product per changed component for CNOT.  No cumulative unitary is
+    formed.  Non-targets keep their Descriptor objects, object identity
+    included.
     """
     g.validate_for(net.n)
-    gate_matrix = embedded_gate(g, net.n)
-    unitary = _frozen(linalg.matmul(gate_matrix, net.cumulative_unitary))
-    updated = dict.fromkeys(g.targets)
-    for k in g.targets:
-        qx, qz = _conjugated_pair(unitary, k, net.n)
-        updated[k] = Descriptor(qubit_id=k, qx=qx, qz=qz)
+    if g.name == "CNOT":
+        c, t = g.targets
+        dc, dt = net.descriptors[c], net.descriptors[t]
+        updated = {
+            c: Descriptor(qubit_id=c, qx=_frozen(linalg.matmul(dc.qx, dt.qx)), qz=dc.qz),
+            t: Descriptor(qubit_id=t, qx=dt.qx, qz=_frozen(linalg.matmul(dc.qz, dt.qz))),
+        }
+    else:
+        (k,) = g.targets
+        d = net.descriptors[k]
+        qx, qz = _single_qubit_update(g, d.qx, d.qz)
+        updated = {k: Descriptor(qubit_id=k, qx=qx, qz=qz)}
     descriptors = tuple(updated.get(k, d) for k, d in enumerate(net.descriptors))
-    return DescriptorNetwork(
-        n=net.n,
-        descriptors=descriptors,
-        cumulative_unitary=unitary,
-        gate_log=net.gate_log + (g,),
-    )
+    return DescriptorNetwork(n=net.n, descriptors=descriptors, gate_log=net.gate_log + (g,))
 
 
 def apply_circuit(net: DescriptorNetwork, gates: Iterable[GateSpec]) -> DescriptorNetwork:
@@ -296,10 +328,14 @@ def conditional_measure(net: DescriptorNetwork, given, then) -> float:
 
 
 def recomputed_components(net: DescriptorNetwork, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Audit route: (qx, qz) of a qubit rebuilt from the cumulative unitary."""
+    """Audit route: (qx, qz) of a qubit as dagger(U) P U, U rebuilt from the gate log."""
     if not 0 <= qubit < net.n:
         raise ValueError(f"qubit {qubit} out of range for n={net.n}")
-    return _conjugated_pair(net.cumulative_unitary, qubit, net.n)
+    u = net.cumulative_unitary
+    ud = linalg.dagger(u)
+    qx = linalg.matmul(ud, linalg.matmul(_initial_pauli(linalg.X, qubit, net.n), u))
+    qz = linalg.matmul(ud, linalg.matmul(_initial_pauli(linalg.Z, qubit, net.n), u))
+    return qx, qz
 
 
 def locality_audit(net: DescriptorNetwork, watched: int, remote_ops: Iterable[GateSpec]) -> bool:
@@ -307,8 +343,9 @@ def locality_audit(net: DescriptorNetwork, watched: int, remote_ops: Iterable[Ga
 
     The stored matrices must come back bit-for-bit identical (exact equality,
     no tolerance: gate application never rewrites a non-target), and the
-    cumulative-unitary recomputation must agree with the stored matrices
-    within the default tolerance.
+    dense recomputation from the cumulative unitary, which does not use the
+    local update rule, must agree with the stored matrices within the
+    default tolerance.
     """
     if not 0 <= watched < net.n:
         raise ValueError(f"qubit {watched} out of range for n={net.n}")

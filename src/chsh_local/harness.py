@@ -16,7 +16,6 @@ between them, which is the whole point of the layout.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -71,6 +70,10 @@ class TournamentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        for name in ("rounds", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.mode not in MODES:
@@ -109,11 +112,11 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class PairStats:
-    """Per-question-pair tallies."""
+    """Per-question-pair tallies; `rate` is None for a pair never asked."""
 
     count: int
     wins: int
-    rate: float
+    rate: float | None
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,10 @@ class TournamentReport:
     isolation: bool
 
     def to_dict(self) -> dict:
-        """JSON-ready form; floats rounded to 9 decimals for stable output."""
+        """JSON-ready form; floats rounded to 9 decimals for stable output.
+
+        The rate of a pair never asked is None, written as JSON null.
+        """
         return {
             "total_rounds": self.total_rounds,
             "wins": self.wins,
@@ -142,7 +148,7 @@ class TournamentReport:
                 key: {
                     "count": stats.count,
                     "wins": stats.wins,
-                    "rate": round(stats.rate, 9),
+                    "rate": None if stats.rate is None else round(stats.rate, 9),
                 }
                 for key, stats in self.per_pair.items()
             },
@@ -245,7 +251,7 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, list[RoundReco
     else:
         per_pair = {
             _pair_key(q): PairStats(
-                counts[q], wins[q], wins[q] / counts[q] if counts[q] else math.nan
+                counts[q], wins[q], wins[q] / counts[q] if counts[q] else None
             )
             for q in QUESTION_PAIRS
         }

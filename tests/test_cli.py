@@ -5,9 +5,13 @@ import re
 
 import pytest
 
-from chsh_local import cli
+from chsh_local import cli, harness
 
 COS2_PI_8 = 0.8535533905932737
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +138,23 @@ class TestPlay:
         assert code == 1
         assert "unknown config keys" in err
 
+    def test_config_rounds_must_be_an_int(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"rounds": 2.5}))
+        code, _, err = run_cli(capsys, "play", "--config", str(config))
+        assert code == 1
+        assert "rounds must be an int" in err
+
+    def test_single_round_report_is_strict_json(self, capsys, tmp_path):
+        # Three of the four question pairs go unseen; their rate is null, not NaN.
+        base = tmp_path / "r"
+        code, out, _ = run_cli(capsys, "play", "--rounds", "1", "--out", str(base))
+        assert code == 0
+        for text in (out, (tmp_path / "r.json").read_text()):
+            summary = json.loads(text, parse_constant=_reject_constant)
+            rates = [stats["rate"] for stats in summary["per_pair"].values()]
+            assert rates.count(None) == 3
+
     def test_mixed_mode_with_fraction_weights(self, capsys):
         weights = ",".join(["1/16"] * 16)
         code, out, _ = run_cli(
@@ -177,3 +198,15 @@ class TestVerify:
         )
         assert code == 0
         assert out.count("PASS") == 2
+
+
+class TestInvariantViolation:
+    def test_runtime_error_is_named_with_its_own_exit_code(self, capsys, monkeypatch):
+        def drift(cfg):
+            raise RuntimeError("protocol drift: engine and oracle disagree")
+
+        monkeypatch.setattr(harness, "run_tournament", drift)
+        code, out, err = run_cli(capsys, "play", "--rounds", "10")
+        assert code == 3
+        assert out == ""
+        assert err == "error: invariant violated: protocol drift: engine and oracle disagree\n"

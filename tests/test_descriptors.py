@@ -263,8 +263,12 @@ def circuits(draw):
             )
             gates.append(GateSpec.cnot(control, target))
         else:
-            name = draw(st.sampled_from(("X", "Y", "Z", "H")))
-            gates.append(GateSpec(name, (draw(st.integers(min_value=0, max_value=n - 1)),)))
+            name = draw(st.sampled_from(("X", "Y", "Z", "H", "ROTY")))
+            qubit = draw(st.integers(min_value=0, max_value=n - 1))
+            theta = None
+            if name == "ROTY":
+                theta = draw(st.floats(min_value=-2 * np.pi, max_value=2 * np.pi))
+            gates.append(GateSpec(name, (qubit,), theta))
     return n, gates
 
 
@@ -279,6 +283,10 @@ def test_random_circuit_invariants(circuit):
         p1 = descriptors.branch_measure(net, (qubit, 1))
         assert -1e-12 <= p0 <= 1.0 + 1e-12
         assert p0 + p1 == pytest.approx(1.0, abs=1e-10)
+        # The local update rule agrees with dense conjugation by the rebuilt U.
+        qx, qz = descriptors.recomputed_components(net, qubit)
+        assert linalg.frobenius_distance(qx, net.descriptors[qubit].qx) <= 1e-10
+        assert linalg.frobenius_distance(qz, net.descriptors[qubit].qz) <= 1e-10
     # Descriptors square to the identity: they are conjugated Paulis.
     d = net.descriptors[0]
     assert np.allclose(linalg.matmul(d.qx, d.qx), linalg.identity(2**n), atol=1e-10)

@@ -274,6 +274,8 @@ class TestBranchTree:
 class TestRedundancyDemo:
     def test_no_witnesses_full_visibility(self):
         assert game.redundancy_demo(0) == pytest.approx(1.0, abs=1e-9)
+        # H twice swaps (qx, qz) twice under the local update rule: exact.
+        assert game.redundancy_demo(0) == 1.0
 
     def test_single_witness_kills_interference(self):
         assert game.redundancy_demo(1) == pytest.approx(0.0, abs=1e-9)

@@ -41,6 +41,14 @@ class TestConfigValidation:
             classical_cfg(seed=2**64)
         classical_cfg(seed=2**64 - 1)
 
+    def test_rounds_and_seed_must_be_ints(self):
+        for bad in (2.5, True, "10"):
+            with pytest.raises(ValueError):
+                TournamentConfig(rounds=bad, mode="quantum")
+        for bad in (1.5, True, "5"):
+            with pytest.raises(ValueError):
+                classical_cfg(seed=bad)
+
     def test_classical_needs_strategy(self):
         with pytest.raises(ValueError):
             TournamentConfig(rounds=10, mode="classical")

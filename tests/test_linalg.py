@@ -123,6 +123,18 @@ def test_embed_one_places_factor_by_qubit_index():
     )
 
 
+def test_embed_one_matches_single_qubit_fold():
+    for u in (linalg.X, linalg.Y, linalg.Z, linalg.H, linalg.P0, linalg.roty(0.37)):
+        for n in range(1, 6):
+            for qubit in range(n):
+                factors = [linalg.identity(2)] * n
+                factors[qubit] = u
+                expected = linalg.tensor_all(factors)
+                embedded = linalg.embed_one(u, qubit, n)
+                assert embedded.dtype == expected.dtype
+                assert np.array_equal(embedded, expected)
+
+
 def test_embed_one_range_errors():
     with pytest.raises(ValueError):
         linalg.embed_one(linalg.X, 2, 2)
