@@ -55,7 +55,6 @@ from .harness import (
     RoundRecord,
     TournamentConfig,
     TournamentReport,
-    causality_audit,
     play_rounds,
     read_round_table,
     run_tournament,
@@ -99,7 +98,6 @@ __all__ = [
     "branch_measure",
     "branch_tree",
     "build_round_network",
-    "causality_audit",
     "classical_optimum",
     "conditional_measure",
     "default_protocol",

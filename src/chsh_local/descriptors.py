@@ -29,7 +29,9 @@ Outcome statistics are extracted as *branch measures*: the squared-amplitude
 weight of a history, read as the expectation of a projector against the fixed
 reference state.  Two independent routes exist for every such number, this
 engine and the state-vector oracle in :mod:`chsh_local.statevector`; they
-share gate-matrix constants but no application code.
+share gate-matrix constants but no application code.  Each measure is
+computed once per call; the audits (oracle agreement, order independence of
+joint records, locality) run in :mod:`chsh_local.verify`.
 """
 
 from __future__ import annotations
@@ -180,10 +182,6 @@ def embedded_gate(g: GateSpec, n: int) -> np.ndarray:
     return linalg.embed_one(_single_qubit_matrix(g), g.targets[0], n)
 
 
-def _initial_pauli(pauli: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    return linalg.embed_one(pauli, qubit, n)
-
-
 def _frozen(m: np.ndarray) -> np.ndarray:
     m.setflags(write=False)
     return m
@@ -196,8 +194,8 @@ def init_network(n: int) -> DescriptorNetwork:
     descriptors = tuple(
         Descriptor(
             qubit_id=k,
-            qx=_frozen(_initial_pauli(linalg.X, k, n)),
-            qz=_frozen(_initial_pauli(linalg.Z, k, n)),
+            qx=_frozen(linalg.embed_one(linalg.X, k, n)),
+            qz=_frozen(linalg.embed_one(linalg.Z, k, n)),
         )
         for k in range(n)
     )
@@ -263,11 +261,6 @@ def _check_outcome(net: DescriptorNetwork, o) -> OutcomeSpec:
     return OutcomeSpec(int(qubit), int(outcome))
 
 
-def _projector(net: DescriptorNetwork, o: OutcomeSpec) -> np.ndarray:
-    sign = 1.0 if o.outcome == 0 else -1.0
-    return (np.eye(net.dim, dtype=complex) + sign * net.descriptors[o.qubit].qz) / 2.0
-
-
 def branch_measure(net: DescriptorNetwork, o) -> float:
     """Measure of the history where qubit's z-readout shows `outcome`.
 
@@ -282,34 +275,22 @@ def branch_measure(net: DescriptorNetwork, o) -> float:
 
 
 def joint_measure(net: DescriptorNetwork, outcomes) -> float:
-    """Measure of a joint outcome record on distinct qubits.
+    """Measure of a joint outcome record on distinct qubits (1 if empty).
 
-    The outcome projectors commute (they live on different qubits), so the
-    product order is irrelevant; this is asserted by evaluating the chain in
-    both orders and comparing within the default tolerance.
+    One matrix-vector chain from |0...0>: each outcome's projector
+    (I + sign qz) / 2 is applied as v <- (v + sign qz v) / 2, last outcome
+    first, and the measure is Re v[0].  The projectors commute, so order is
+    irrelevant; the picture equivalence suite checks both orders.
     """
     specs = [_check_outcome(net, o) for o in outcomes]
     if len({s.qubit for s in specs}) != len(specs):
         raise ValueError(f"joint outcome qubits must be distinct, got {[s.qubit for s in specs]}")
-    if not specs:
-        return 1.0
-    projectors = [_projector(net, s) for s in specs]
-
-    def chain(ps) -> complex:
-        v = np.zeros(net.dim, dtype=complex)
-        v[0] = 1.0
-        for p in reversed(ps):
-            v = p @ v
-        return v[0]
-
-    forward = chain(projectors)
-    backward = chain(projectors[::-1])
-    if abs(forward - backward) > DEFAULT_TOL:
-        raise RuntimeError(
-            f"projector ordering changed a joint measure by {abs(forward - backward):.3e}; "
-            "cross-qubit commutation is broken"
-        )
-    return float(forward.real)
+    v = np.zeros(net.dim, dtype=complex)
+    v[0] = 1.0
+    for s in reversed(specs):
+        sign = 1.0 if s.outcome == 0 else -1.0
+        v = (v + sign * (net.descriptors[s.qubit].qz @ v)) / 2.0
+    return float(v[0].real)
 
 
 def conditional_measure(net: DescriptorNetwork, given, then) -> float:
@@ -333,8 +314,8 @@ def recomputed_components(net: DescriptorNetwork, qubit: int) -> tuple[np.ndarra
         raise ValueError(f"qubit {qubit} out of range for n={net.n}")
     u = net.cumulative_unitary
     ud = linalg.dagger(u)
-    qx = linalg.matmul(ud, linalg.matmul(_initial_pauli(linalg.X, qubit, net.n), u))
-    qz = linalg.matmul(ud, linalg.matmul(_initial_pauli(linalg.Z, qubit, net.n), u))
+    qx = linalg.matmul(ud, linalg.matmul(linalg.embed_one(linalg.X, qubit, net.n), u))
+    qz = linalg.matmul(ud, linalg.matmul(linalg.embed_one(linalg.Z, qubit, net.n), u))
     return qx, qz
 
 

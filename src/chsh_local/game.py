@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import descriptors, linalg, statevector
+from . import descriptors, statevector
 from .descriptors import DescriptorNetwork, GateSpec
 
 #: Tolerance for the protocol's per-pair win probability at construction.
@@ -40,9 +40,6 @@ PROTOCOL_TOL = 1e-9
 
 #: Tolerance for branch-tree measure conservation checks.
 CONSERVATION_TOL = 1e-9
-
-#: Tolerance for the rotation-order commutation assertion.
-ORDER_TOL = 1e-10
 
 #: The quantum win rate (2+sqrt(2))/4 = cos^2(pi/8).  Never asserted blindly:
 #: protocol construction re-derives it from the oracle.
@@ -229,25 +226,13 @@ def oracle_win_probability(alice_theta: float, bob_theta: float, q: QuestionPair
 def build_round_network(p: QuantumProtocol, q: QuestionPair) -> DescriptorNetwork:
     """Descriptor network for one round: Bell prep plus both local rotations.
 
-    The two question-dependent rotations act on different qubits, so their
-    order cannot matter; this is asserted by building the network both ways
-    and comparing every descriptor within 1e-10.
+    The two question-dependent rotations act on different qubits, and the
+    local update rule rewrites only a gate's own targets, so either order
+    gives bit-identical descriptors by construction; the network is built
+    once.  The locality suite in :mod:`chsh_local.verify` checks that
+    property on random circuits.
     """
-    prep = bell_prep_gates()
-    rot_a = GateSpec.roty(p.alice_angle(q.qa), 0)
-    rot_b = GateSpec.roty(p.bob_angle(q.qb), 1)
-    net = descriptors.apply_circuit(descriptors.init_network(2), prep + [rot_a, rot_b])
-    net_swapped = descriptors.apply_circuit(descriptors.init_network(2), prep + [rot_b, rot_a])
-    for d, d_swapped in zip(net.descriptors, net_swapped.descriptors):
-        if (
-            linalg.frobenius_distance(d.qx, d_swapped.qx) > ORDER_TOL
-            or linalg.frobenius_distance(d.qz, d_swapped.qz) > ORDER_TOL
-        ):
-            raise RuntimeError(
-                f"rotation order changed qubit {d.qubit_id}'s descriptor; "
-                "cross-qubit gates no longer commute"
-            )
-    return net
+    return descriptors.apply_circuit(descriptors.init_network(2), p.round_gates(q))
 
 
 def descriptor_win_measure(p: QuantumProtocol, q: QuestionPair) -> float:
@@ -362,9 +347,8 @@ def branch_tree(p: QuantumProtocol, q: QuestionPair, perspective: str = "alice")
             joint = descriptors.joint_measure(
                 net, [(first, first_outcome), (second, second_outcome)]
             )
-            conditional = descriptors.conditional_measure(
-                net, (first, first_outcome), (second, second_outcome)
-            )
+            # Exactly the quotient descriptors.conditional_measure would recompute.
+            conditional = joint / parent
             if first == 0:
                 aa, ab = first_outcome, second_outcome
             else:

@@ -257,7 +257,7 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, list[RoundReco
         }
 
     total_wins = sum(wins.values())
-    isolated, _ = causality_audit(cfg)
+    isolated, _ = audit_geometry(cfg.geometry)
     report = TournamentReport(
         total_rounds=cfg.rounds,
         wins=total_wins,
@@ -304,11 +304,6 @@ def audit_geometry(geometry: Geometry) -> tuple[bool, dict]:
     return isolated, report
 
 
-def causality_audit(cfg: TournamentConfig) -> tuple[bool, dict]:
-    """Geometry audit of a tournament configuration."""
-    return audit_geometry(cfg.geometry)
-
-
 def write_report(report: TournamentReport, records: Sequence[RoundRecord], path: str) -> None:
     """Write `{path}.json` (summary) and `{path}.csv` (per-round table).
 
@@ -328,7 +323,12 @@ def write_report(report: TournamentReport, records: Sequence[RoundRecord], path:
 
 
 def read_round_table(path: str) -> list[RoundRecord]:
-    """Read a per-round table back, re-checking every row's win tag."""
+    """Read a per-round table back, re-checking every row.
+
+    Round ids must count 0, 1, 2, ... as :func:`write_report` writes them,
+    the win tag must be exactly 0 or 1 and agree with the game rule, and
+    `leaf_measure` must lie in [0, 1]; a violation names `path:line`.
+    """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -338,8 +338,15 @@ def read_round_table(path: str) -> list[RoundRecord]:
             fields = line.rstrip("\n").split(",")
             if len(fields) != 7:
                 raise ValueError(f"{path}:{line_no}: expected 7 fields, got {len(fields)}")
-            round_id, qa, qb, aa, ab, win_bit = (int(x) for x in fields[:6])
-            record = RoundRecord(round_id, qa, qb, aa, ab, bool(win_bit), float(fields[6]))
+            round_id, qa, qb, aa, ab = (int(x) for x in fields[:5])
+            win_bit, leaf_measure = fields[5], float(fields[6])
+            if round_id != len(records):
+                raise ValueError(f"{path}:{line_no}: round_id {round_id}, expected {len(records)}")
+            if win_bit not in ("0", "1"):
+                raise ValueError(f"{path}:{line_no}: win tag must be 0 or 1, got {win_bit!r}")
+            if not 0.0 <= leaf_measure <= 1.0:
+                raise ValueError(f"{path}:{line_no}: leaf_measure {leaf_measure} is not in [0, 1]")
+            record = RoundRecord(round_id, qa, qb, aa, ab, win_bit == "1", leaf_measure)
             if record.win != win_predicate(QuestionPair(qa, qb), aa, ab):
                 raise ValueError(
                     f"{path}:{line_no}: win tag {win_bit} contradicts the game rule "

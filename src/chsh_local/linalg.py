@@ -1,6 +1,6 @@
 """Dense complex linear algebra for qubit operators.
 
-Everything in this package lives in dimensions 2**n with n <= 12, so dense
+Everything in this package lives in dimensions 2**n with n <= 11, so dense
 numpy arrays are the substrate: no sparsity, no decompositions.  The global
 qubit-ordering convention is fixed here once: qubit 0 is the leftmost
 (most significant) tensor factor.  All other modules embed operators through
@@ -17,7 +17,11 @@ import numpy as np
 #: Default comparison tolerance (Frobenius norm), inherited by every module.
 DEFAULT_TOL = 1e-10
 
-MAX_QUBITS = 12
+#: Largest register size.  An n-qubit network holds 2n dense 2**n x 2**n
+#: complex128 descriptors, 2n * 4**n * 16 bytes: about 1.4 GiB at n = 11
+#: (what redundancy_demo(10) needs) but 6 GiB at n = 12, too close to the
+#: 7.8 GiB of a small host to be an honest cap.
+MAX_QUBITS = 11
 
 
 def _frozen(entries) -> np.ndarray:
@@ -55,9 +59,15 @@ def _as_square(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
     return m
+
+
+def _finite_norm(m: np.ndarray) -> float:
+    """Frobenius norm of m; a NaN or inf entry makes it non-finite, a ValueError."""
+    norm = float(np.linalg.norm(m))
+    if not np.isfinite(norm):
+        raise ValueError("matrix contains non-finite entries")
+    return norm
 
 
 def identity(dim: int) -> np.ndarray:
@@ -109,7 +119,8 @@ def frobenius_distance(a, b) -> float:
     a, b = _as_square(a), _as_square(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.linalg.norm(a - b))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _finite_norm(a - b)
 
 
 def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
@@ -117,7 +128,8 @@ def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     if tol < 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
     a = _as_square(a)
-    return float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0]))) <= tol
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _finite_norm(a.conj().T @ a - np.eye(a.shape[0])) <= tol
 
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
@@ -125,4 +137,5 @@ def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     if tol < 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
     a = _as_square(a)
-    return float(np.linalg.norm(a - a.conj().T)) <= tol
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _finite_norm(a - a.conj().T) <= tol

@@ -2,11 +2,13 @@
 
 Both suites generate random circuits from a seeded generator and check the
 descriptor engine against an independent standard.  Picture equivalence
-compares every joint outcome measure with the state-vector oracle; locality
-checks that gates avoiding a watched qubit leave its stored descriptor
-untouched bit for bit.  The CLI `verify` subcommand and the acceptance
-tests both run these, so the suite parameters and defaults live here,
-in one place.
+compares every joint outcome measure with the state-vector oracle and
+checks that each multi-qubit record gives the same measure in reversed
+order (the outcome projectors commute); locality checks that gates avoiding
+a watched qubit leave its stored descriptor untouched bit for bit.  These
+are the audits the engine's hot path does not run on every call.  The CLI
+`verify` subcommand and the acceptance tests both run these, so the suite
+parameters and defaults live here, in one place.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from . import descriptors, statevector
 from .descriptors import GateSpec
+from .linalg import DEFAULT_TOL
 
 #: Joint-measure agreement tolerance between the two pictures.
 EQUIVALENCE_TOL = 1e-9
@@ -79,13 +82,16 @@ def picture_equivalence_suite(
 
     For each circuit, every full joint outcome (all 2**n of them) and every
     single-qubit marginal is computed by both routes; any deviation beyond
-    `tol` is a failure.
+    `tol` is a failure.  Every multi-qubit record is also evaluated by the
+    engine in reversed order, and a change beyond the default tolerance is
+    a failure as well: the order independence of commuting projectors.
     """
     rng = np.random.default_rng(seed)
     failures = 0
     checked = 0
     max_deviation = 0.0
     worst = ""
+    order_failures = []
     for index in range(n_circuits):
         n = int(rng.integers(1, max_qubits + 1))
         depth = int(rng.integers(1, max_depth + 1))
@@ -105,14 +111,21 @@ def picture_equivalence_suite(
             if deviation > max_deviation:
                 max_deviation = deviation
                 worst = f"circuit {index}, n={n}, outcomes {outcomes}"
-            if deviation > tol:
+            order_gap = 0.0
+            if len(outcomes) > 1:
+                order_gap = abs(descriptors.joint_measure(net, outcomes[::-1]) - engine)
+            if order_gap > DEFAULT_TOL:
+                order_failures.append(f"circuit {index}, outcomes {outcomes} by {order_gap:.3e}")
+            if deviation > tol or order_gap > DEFAULT_TOL:
                 failures += 1
     detail = (
         f"{checked} joint measures across {n_circuits} circuits, "
-        f"max deviation {max_deviation:.3e}"
+        f"max deviation {max_deviation:.3e}, {len(order_failures)} order failures"
     )
-    if failures:
+    if max_deviation > tol:
         detail += f"; worst at {worst}"
+    if order_failures:
+        detail += f"; reversed order changed {order_failures[0]}"
     return SuiteResult(failures == 0, checked, failures, max_deviation, detail)
 
 

@@ -198,6 +198,7 @@ class TestVerify:
         )
         assert code == 0
         assert out.count("PASS") == 2
+        assert "0 order failures" in out
 
 
 class TestInvariantViolation:

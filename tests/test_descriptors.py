@@ -86,7 +86,7 @@ class TestInitNetwork:
         assert descriptors.branch_measure(net, (0, 1)) == pytest.approx(0.0)
 
     def test_qubit_count_range(self):
-        for bad in (0, -3, 13):
+        for bad in (0, -3, 12, 13):
             with pytest.raises(ValueError):
                 descriptors.init_network(bad)
 

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -180,6 +181,18 @@ class TestRoundNetwork:
                     0.5, abs=1e-10
                 )
 
+    def test_rotation_order_gives_identical_descriptors(self):
+        p = game.default_protocol()
+        for q in QUESTION_PAIRS:
+            net = game.build_round_network(p, q)
+            prep, (rot_a, rot_b) = list(net.gate_log[:2]), net.gate_log[2:]
+            swapped = descriptors.apply_circuit(
+                descriptors.init_network(2), prep + [rot_b, rot_a]
+            )
+            for d, d_swapped in zip(net.descriptors, swapped.descriptors):
+                assert np.array_equal(d.qx, d_swapped.qx)
+                assert np.array_equal(d.qz, d_swapped.qz)
+
     def test_no_cross_qubit_gate_after_prep(self):
         net = game.build_round_network(game.default_protocol(), QuestionPair(1, 0))
         assert len(net.gate_log) == 4
@@ -219,6 +232,19 @@ class TestBranchTree:
                 assert conditionals[1] == pytest.approx(COS2_PI_8, abs=1e-9)
                 winner = max(node.leaves, key=lambda leaf: leaf.conditional)
                 assert winner.win
+
+    def test_conditionals_equal_conditional_measure_exactly(self):
+        p = game.default_protocol()
+        for q in QUESTION_PAIRS:
+            net = game.build_round_network(p, q)
+            for perspective, first in (("alice", 0), ("bob", 1)):
+                tree = game.branch_tree(p, q, perspective=perspective)
+                for node in tree.branches:
+                    for leaf in node.leaves:
+                        second_outcome = leaf.bob_outcome if first == 0 else leaf.alice_outcome
+                        assert leaf.conditional == descriptors.conditional_measure(
+                            net, (first, node.outcome), (1 - first, second_outcome)
+                        )
 
     def test_win_measure_equals_quantum_value(self):
         p = game.default_protocol()

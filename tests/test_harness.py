@@ -67,7 +67,7 @@ class TestConfigValidation:
 
 class TestCausalityAudit:
     def test_default_geometry_isolates(self):
-        ok, report = harness.causality_audit(classical_cfg())
+        ok, report = harness.audit_geometry(Geometry())
         assert ok
         assert report["margin_light_minutes"] == pytest.approx(25.0)
 
@@ -265,6 +265,35 @@ class TestReportFiles:
             "round_id,qa,qb,aa,ab,win,leaf_measure\n0,1,1,0,0,1,1.000000000\n"
         )
         with pytest.raises(ValueError, match="win tag"):
+            harness.read_round_table(str(path))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1,0,0,0,0,1,1.000000000\n", r"bad\.csv:2: round_id 1, expected 0"),
+            ("0,0,0,0,0,1,1.0\n2,0,0,0,0,1,1.0\n", r"bad\.csv:3: round_id 2, expected 1"),
+            ("0,0,0,0,0,1,1.0\n0,0,0,0,0,1,1.0\n", r"bad\.csv:3: round_id 0, expected 1"),
+        ],
+        ids=["starts-at-one", "skips-an-id", "repeats-an-id"],
+    )
+    def test_read_back_rejects_out_of_order_round_ids(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("round_id,qa,qb,aa,ab,win,leaf_measure\n" + rows)
+        with pytest.raises(ValueError, match=message):
+            harness.read_round_table(str(path))
+
+    @pytest.mark.parametrize("win", ["2", "-1", "01", " 1", "true"])
+    def test_read_back_rejects_win_field_other_than_0_or_1(self, tmp_path, win):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"round_id,qa,qb,aa,ab,win,leaf_measure\n0,0,0,0,0,{win},1.0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:2: win tag must be 0 or 1"):
+            harness.read_round_table(str(path))
+
+    @pytest.mark.parametrize("measure", ["nan", "inf", "-inf", "-0.000000001", "1.000000001"])
+    def test_read_back_rejects_leaf_measure_outside_unit_interval(self, tmp_path, measure):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"round_id,qa,qb,aa,ab,win,leaf_measure\n0,0,0,0,0,1,{measure}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:2: leaf_measure"):
             harness.read_round_table(str(path))
 
     def test_read_back_rejects_wrong_header(self, tmp_path):

@@ -198,11 +198,20 @@ def test_frobenius_distance():
 
 
 def test_validators_reject_nonfinite_entries():
-    bad = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        linalg.matmul(bad, linalg.X)
-    with pytest.raises(ValueError):
-        linalg.dagger(bad)
+    # matmul/tensor/dagger do not scan; the audit predicates reject NaN/inf
+    # through the one norm they compute, without a RuntimeWarning.
+    for value in (np.nan, np.inf, complex(0.0, -np.inf)):
+        for slot in ((0, 0), (0, 1)):
+            bad = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+            bad[slot] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                linalg.frobenius_distance(bad, linalg.X)
+            with pytest.raises(ValueError, match="non-finite"):
+                linalg.frobenius_distance(linalg.X, bad)
+            with pytest.raises(ValueError, match="non-finite"):
+                linalg.is_unitary(bad)
+            with pytest.raises(ValueError, match="non-finite"):
+                linalg.is_hermitian(bad)
 
 
 def test_gate_constants_are_read_only():

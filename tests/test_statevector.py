@@ -18,7 +18,7 @@ def test_init_state_is_all_zeros_ket():
 
 
 def test_init_state_range_errors():
-    for bad in (0, -1, 13):
+    for bad in (0, -1, 12, 13):
         with pytest.raises(ValueError):
             statevector.init_state(bad)
 
