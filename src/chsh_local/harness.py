@@ -2,8 +2,13 @@
 
 Rounds draw their randomness from per-round counter-based streams keyed by
 (seed, round_id), so results are reproducible bit for bit regardless of
-execution order.  Two sampling modes cover the two kinds of claim the game
-supports: `monte_carlo` actually samples outcomes round by round, while
+execution order.  Philox is counter-based, so every round's draws are a
+pure function of (seed, round_id): they are computed for a whole block of
+rounds at once by a numpy Philox4x64-10, bit-identical to numpy's per-round
+`Generator(Philox(key=[seed, round_id]))`.  Each round then becomes one
+integer outcome code, and counts and records come from a small table of
+the rows those codes stand for.  Two sampling modes cover the two kinds of
+claim the game supports: `monte_carlo` actually samples outcomes round by round, while
 `exact_measure` keeps the sampled questions but replaces outcome sampling
 with analytic per-pair win measures (win counts are then expected values
 rounded to the nearest integer, and the report says so).
@@ -15,6 +20,7 @@ between them, which is the whole point of the layout.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +46,18 @@ SAMPLING = ("exact_measure", "monte_carlo")
 ROUND_TABLE_HEADER = "round_id,qa,qb,aa,ab,win,leaf_measure"
 
 _MAX_SEED = 2**64
+
+#: Rounds drawn and tallied together.  The Philox pass keeps about twenty
+#: uint64 columns of this length alive, so 4096 rounds hold its temporaries
+#: near 0.6 MiB however long the run; larger blocks raised peak memory and
+#: were no faster.
+BLOCK_ROUNDS = 4096
+
+# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC11).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -166,9 +184,34 @@ def _pair_key(q: QuestionPair) -> str:
     return f"{q.qa}{q.qb}"
 
 
-def _round_rng(seed: int, round_id: int) -> np.random.Generator:
-    """Independent per-round stream: counter-based, keyed by (seed, round)."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, round_id], dtype=np.uint64)))
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products `a * b`, from 32-bit halves."""
+    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b_lo, b_hi = b & _LOW32, b >> 32
+    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    carry = ((lo_lo >> 32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)) >> 32
+    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + carry, np.uint64(a) * b
+
+
+def _round_uniforms(seed: int, round_ids: np.ndarray) -> np.ndarray:
+    """The first three uniforms of each round's stream, shape (rounds, 3).
+
+    Row i equals `Generator(Philox(key=[seed, round_ids[i]])).random(3)`:
+    numpy's first Philox4x64-10 block, counter (1, 0, 0, 0) under key
+    (seed, round_id), whose first three words become doubles as
+    `(word >> 11) * 2**-53`.
+    """
+    key1 = np.asarray(round_ids, dtype=np.uint64)
+    zero = np.zeros_like(key1)
+    c0, c1, c2, c3 = zero + np.uint64(1), zero, zero, zero
+    for i in range(_PHILOX_ROUNDS):
+        k0 = np.uint64((seed + i * _PHILOX_W[0]) % 2**64)
+        k1 = key1 + np.uint64(i * _PHILOX_W[1] % 2**64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2), axis=1)
+    return (words >> 11).astype(np.float64) * 2.0**-53
 
 
 def _exact_pair_rates(cfg: TournamentConfig) -> dict[QuestionPair, float]:
@@ -188,72 +231,88 @@ def _exact_pair_rates(cfg: TournamentConfig) -> dict[QuestionPair, float]:
     return rates
 
 
-def _strategy_cdf(weights: Sequence[Fraction]) -> np.ndarray:
-    cdf = np.cumsum(np.array([float(w) for w in weights]))
-    cdf[-1] = 1.0
-    return cdf
+def _outcome_table(cfg: TournamentConfig) -> tuple[list[np.ndarray], list[tuple]]:
+    """Sampling edges of each question pair and the row of every outcome code.
+
+    A round asked `pair = 2*qa + qb` whose third uniform is `u` takes
+    `choice = searchsorted(edges[pair], u, side="right")`: a strategy under
+    `mixed`, a branch leaf under `quantum`, always 0 under `classical`.  Its
+    outcome code is `pair * width + choice`, with `width` the length of each
+    edge array, and `rows[code]` is the `(qa, qb, aa, ab, win, leaf_measure)`
+    it records, `win` from the game rule.
+    """
+    if cfg.mode == "classical":
+        edges = [np.ones(1)] * 4
+        outcomes = [[(*cfg.strategy.answers(q), 1.0)] for q in QUESTION_PAIRS]
+    elif cfg.mode == "mixed":
+        cdf = np.cumsum([float(w) for w in cfg.weights])
+        cdf[-1] = 1.0
+        edges = [cdf] * 4
+        outcomes = [
+            [(*s.answers(q), 1.0) for s in game.all_strategies()] for q in QUESTION_PAIRS
+        ]
+    else:
+        edges, outcomes = [], []
+        for q in QUESTION_PAIRS:
+            leaves = game.branch_tree(cfg.protocol, q).leaves()
+            pair_edges = np.cumsum([leaf.measure for leaf in leaves])
+            pair_edges[-1] = 1.0
+            edges.append(pair_edges)
+            outcomes.append(
+                [(leaf.alice_outcome, leaf.bob_outcome, leaf.measure) for leaf in leaves]
+            )
+    rows = [
+        (q.qa, q.qb, aa, ab, win_predicate(q, aa, ab), measure)
+        for q, pair_outcomes in zip(QUESTION_PAIRS, outcomes)
+        for aa, ab, measure in pair_outcomes
+    ]
+    return edges, rows
 
 
 def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, list[RoundRecord]]:
     """Run a tournament and return the report plus the per-round records.
 
-    Questions are sampled per round in both sampling modes.  In
-    `exact_measure` mode no outcomes are sampled: per-pair wins are the
-    expected values of the analytic rates (rounded to nearest integer) and
-    the record list is empty.
+    All rounds' draws are computed at once, `BLOCK_ROUNDS` round ids at a
+    time, bit-identical to numpy's per-round `Philox` streams, so reports
+    match a round-by-round loop byte for byte.  Questions are sampled per
+    round in both sampling modes.  In `exact_measure` mode no outcomes are
+    sampled: per-pair wins are the expected values of the analytic rates
+    (rounded to nearest integer) and the record list is empty.
     """
-    strategies = game.all_strategies()
-    counts = {q: 0 for q in QUESTION_PAIRS}
-    wins = {q: 0 for q in QUESTION_PAIRS}
+    analytic = cfg.sampling == "exact_measure"
+    edges, rows = (None, None) if analytic else _outcome_table(cfg)
+    width = 1 if analytic else len(edges[0])
+    counts = np.zeros(4 * width, dtype=np.int64)
     records: list[RoundRecord] = []
+    for start in range(0, cfg.rounds, BLOCK_ROUNDS):
+        stop = min(start + BLOCK_ROUNDS, cfg.rounds)
+        u = _round_uniforms(cfg.seed, np.arange(start, stop, dtype=np.uint64))
+        questions = (2.0 * u[:, :2]).astype(np.int64)
+        pair = 2 * questions[:, 0] + questions[:, 1]
+        codes = pair * width
+        if not analytic:
+            for p, pair_edges in enumerate(edges):
+                asked = pair == p
+                codes[asked] += np.searchsorted(pair_edges, u[asked, 2], side="right")
+            records += [
+                RoundRecord(r, *rows[c]) for r, c in zip(range(start, stop), codes.tolist())
+            ]
+        counts += np.bincount(codes, minlength=counts.size)
 
-    trees = None
-    cdf = None
-    if cfg.mode == "quantum" and cfg.sampling == "monte_carlo":
-        trees = {}
-        for q in QUESTION_PAIRS:
-            leaves = game.branch_tree(cfg.protocol, q).leaves()
-            edges = np.cumsum([leaf.measure for leaf in leaves])
-            edges[-1] = 1.0
-            trees[q] = (leaves, edges)
-    if cfg.mode == "mixed" and cfg.sampling == "monte_carlo":
-        cdf = _strategy_cdf(cfg.weights)
-
-    for round_id in range(cfg.rounds):
-        u = _round_rng(cfg.seed, round_id).random(3)
-        q = QuestionPair(int(2.0 * u[0]), int(2.0 * u[1]))
-        counts[q] += 1
-        if cfg.sampling == "exact_measure":
-            continue
-        if cfg.mode == "classical":
-            aa, ab = cfg.strategy.answers(q)
-            leaf_measure = 1.0
-        elif cfg.mode == "mixed":
-            s = strategies[int(np.searchsorted(cdf, u[2], side="right"))]
-            aa, ab = s.answers(q)
-            leaf_measure = 1.0
-        else:
-            leaves, edges = trees[q]
-            leaf = leaves[int(np.searchsorted(edges, u[2], side="right"))]
-            aa, ab = leaf.alice_outcome, leaf.bob_outcome
-            leaf_measure = leaf.measure
-        win = win_predicate(q, aa, ab)
-        wins[q] += win
-        records.append(RoundRecord(round_id, q.qa, q.qb, aa, ab, win, leaf_measure))
-
-    if cfg.sampling == "exact_measure":
+    counts = counts.reshape(4, width)
+    pair_counts = dict(zip(QUESTION_PAIRS, counts.sum(axis=1).tolist()))
+    if analytic:
         rates = _exact_pair_rates(cfg)
-        for q in QUESTION_PAIRS:
-            wins[q] = round(counts[q] * rates[q])
+        wins = {q: round(n * rates[q]) for q, n in pair_counts.items()}
         per_pair = {
-            _pair_key(q): PairStats(counts[q], wins[q], rates[q]) for q in QUESTION_PAIRS
+            _pair_key(q): PairStats(n, wins[q], rates[q]) for q, n in pair_counts.items()
         }
     else:
+        won = np.array([row[4] for row in rows]).reshape(4, width)
+        wins = dict(zip(QUESTION_PAIRS, (counts * won).sum(axis=1).tolist()))
         per_pair = {
-            _pair_key(q): PairStats(
-                counts[q], wins[q], wins[q] / counts[q] if counts[q] else None
-            )
-            for q in QUESTION_PAIRS
+            _pair_key(q): PairStats(n, wins[q], wins[q] / n if n else None)
+            for q, n in pair_counts.items()
         }
 
     total_wins = sum(wins.values())
@@ -322,12 +381,59 @@ def write_report(report: TournamentReport, records: Sequence[RoundRecord], path:
             )
 
 
+#: Every well-formed `(qa, qb, aa, ab, win)` field tuple of a table row: the
+#: parsed bits and win tag, and whether the tag agrees with the game rule.
+_ROW_FIELDS = {
+    (*(str(b) for b in bits), str(int(win))): (
+        (*bits, win), win == win_predicate(QuestionPair(*bits[:2]), *bits[2:])
+    )
+    for bits in itertools.product((0, 1), repeat=4)
+    for win in (False, True)
+}
+
+
+def _parse_row(path: str, line_no: int, fields: list[str], round_id_expected: int) -> RoundRecord:
+    """Parse one table row field by field; the first bad field names `path:line`."""
+    where = f"{path}:{line_no}"
+    if len(fields) != 7:
+        raise ValueError(f"{where}: expected 7 fields, got {len(fields)}")
+    try:
+        round_id = int(fields[0])
+    except ValueError:
+        raise ValueError(f"{where}: round_id must be an integer, got {fields[0]!r}") from None
+    for name, value in zip(("qa", "qb", "aa", "ab"), fields[1:5]):
+        if value not in ("0", "1"):
+            raise ValueError(f"{where}: {name} must be 0 or 1, got {value!r}")
+    try:
+        leaf_measure = float(fields[6])
+    except ValueError:
+        raise ValueError(f"{where}: leaf_measure must be a number, got {fields[6]!r}") from None
+    if round_id != round_id_expected:
+        raise ValueError(f"{where}: round_id {round_id}, expected {round_id_expected}")
+    win_bit = fields[5]
+    if win_bit not in ("0", "1"):
+        raise ValueError(f"{where}: win tag must be 0 or 1, got {win_bit!r}")
+    if not 0.0 <= leaf_measure <= 1.0:
+        raise ValueError(f"{where}: leaf_measure {leaf_measure} is not in [0, 1]")
+    (qa, qb, aa, ab, win), agrees = _ROW_FIELDS[tuple(fields[1:6])]
+    if not agrees:
+        raise ValueError(
+            f"{where}: win tag {win_bit} contradicts the game rule "
+            f"for questions ({qa}, {qb}) and answers ({aa}, {ab})"
+        )
+    return RoundRecord(round_id, qa, qb, aa, ab, win, leaf_measure)
+
+
 def read_round_table(path: str) -> list[RoundRecord]:
     """Read a per-round table back, re-checking every row.
 
     Round ids must count 0, 1, 2, ... as :func:`write_report` writes them,
-    the win tag must be exactly 0 or 1 and agree with the game rule, and
-    `leaf_measure` must lie in [0, 1]; a violation names `path:line`.
+    the question and answer bits and the win tag must each be exactly 0 or
+    1, the tag must agree with the game rule, and `leaf_measure` must be a
+    number in [0, 1]; a violation names `path:line` and the field.  A
+    well-formed row is checked with one lookup of its five bit fields in a
+    table of the 32 well-formed tuples; any other row is parsed field by
+    field, which names the first bad one.
     """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -336,21 +442,19 @@ def read_round_table(path: str) -> list[RoundRecord]:
             raise ValueError(f"unexpected round-table header in {path}: {header!r}")
         for line_no, line in enumerate(fh, start=2):
             fields = line.rstrip("\n").split(",")
-            if len(fields) != 7:
-                raise ValueError(f"{path}:{line_no}: expected 7 fields, got {len(fields)}")
-            round_id, qa, qb, aa, ab = (int(x) for x in fields[:5])
-            win_bit, leaf_measure = fields[5], float(fields[6])
-            if round_id != len(records):
-                raise ValueError(f"{path}:{line_no}: round_id {round_id}, expected {len(records)}")
-            if win_bit not in ("0", "1"):
-                raise ValueError(f"{path}:{line_no}: win tag must be 0 or 1, got {win_bit!r}")
-            if not 0.0 <= leaf_measure <= 1.0:
-                raise ValueError(f"{path}:{line_no}: leaf_measure {leaf_measure} is not in [0, 1]")
-            record = RoundRecord(round_id, qa, qb, aa, ab, win_bit == "1", leaf_measure)
-            if record.win != win_predicate(QuestionPair(qa, qb), aa, ab):
-                raise ValueError(
-                    f"{path}:{line_no}: win tag {win_bit} contradicts the game rule "
-                    f"for questions ({qa}, {qb}) and answers ({aa}, {ab})"
+            try:
+                (qa, qb, aa, ab, win), agrees = _ROW_FIELDS[tuple(fields[1:6])]
+                round_id, leaf_measure = int(fields[0]), float(fields[6])
+                well_formed = (
+                    agrees
+                    and len(fields) == 7
+                    and round_id == len(records)
+                    and 0.0 <= leaf_measure <= 1.0
                 )
-            records.append(record)
+            except (KeyError, ValueError, IndexError):
+                well_formed = False
+            if well_formed:
+                records.append(RoundRecord(round_id, qa, qb, aa, ab, win, leaf_measure))
+            else:
+                records.append(_parse_row(path, line_no, fields, len(records)))
     return records

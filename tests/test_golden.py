@@ -38,7 +38,7 @@ GOLDEN = [
         "b6b3cb975b6892b8aaf6acdfd539db46ca1343620cdcb5f73eb6fc168eaf39df",
         "e09c6980461b79a41537a3aab1d7f346adc37b38b4a25b375d9a14d31282b141",
     ),
-    # Longer than two harness.BLOCK_ROUNDS blocks plus a partial one.
+    # Several harness.BLOCK_ROUNDS blocks and a partial one.
     (
         "quantum", "mc", 11, 40000,
         "d49cb0944d4406d7eead981ae26dade0482dd21d08b022c11109ab21e2b2de88",

@@ -296,6 +296,38 @@ class TestReportFiles:
         with pytest.raises(ValueError, match=r"bad\.csv:2: leaf_measure"):
             harness.read_round_table(str(path))
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,2,0,0,0,1,1.0", r"bad\.csv:2: qa must be 0 or 1, got '2'"),
+            ("0,0,x,0,0,1,1.0", r"bad\.csv:2: qb must be 0 or 1, got 'x'"),
+            ("0,0,0,-1,0,1,1.0", r"bad\.csv:2: aa must be 0 or 1, got '-1'"),
+            ("0,0,0,0,01,1,1.0", r"bad\.csv:2: ab must be 0 or 1, got '01'"),
+            ("0.5,0,0,0,0,1,1.0", r"bad\.csv:2: round_id must be an integer, got '0\.5'"),
+            ("x,0,0,0,0,1,1.0", r"bad\.csv:2: round_id must be an integer, got 'x'"),
+            ("0,0,0,0,0,1,half", r"bad\.csv:2: leaf_measure must be a number, got 'half'"),
+            ("0,0,0,0,0,1,", r"bad\.csv:2: leaf_measure must be a number, got ''"),
+            ("0,0,0,0,0,1", r"bad\.csv:2: expected 7 fields, got 6"),
+            ("0,0,0,0,0,1,1.0,1", r"bad\.csv:2: expected 7 fields, got 8"),
+        ],
+        ids=["qa", "qb", "aa", "ab", "round-id-float", "round-id-word", "leaf-word",
+             "leaf-empty", "six-fields", "eight-fields"],
+    )
+    def test_read_back_names_the_bad_field_and_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"round_id,qa,qb,aa,ab,win,leaf_measure\n{row}\n")
+        with pytest.raises(ValueError, match=message):
+            harness.read_round_table(str(path))
+
+    def test_read_back_names_a_bad_field_after_good_rows(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "round_id,qa,qb,aa,ab,win,leaf_measure\n"
+            "0,0,0,0,0,1,1.000000000\n1,1,1,0,1,1,0.500000000\n2,1,3,0,0,1,1.000000000\n"
+        )
+        with pytest.raises(ValueError, match=r"bad\.csv:4: qb must be 0 or 1, got '3'"):
+            harness.read_round_table(str(path))
+
     def test_read_back_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("round,qa,qb\n")
