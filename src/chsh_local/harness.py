@@ -2,16 +2,15 @@
 
 Rounds draw their randomness from per-round counter-based streams keyed by
 (seed, round_id), so results are reproducible bit for bit regardless of
-execution order.  Philox is counter-based, so every round's draws are a
-pure function of (seed, round_id): they are computed for a whole block of
-rounds at once by a numpy Philox4x64-10, bit-identical to numpy's per-round
+execution order; a numpy Philox4x64-10 computes a whole block of rounds at
+once, bit-identical to numpy's per-round
 `Generator(Philox(key=[seed, round_id]))`.  Each round then becomes one
 integer outcome code, and counts and records come from a small table of
 the rows those codes stand for.  Two sampling modes cover the two kinds of
-claim the game supports: `monte_carlo` actually samples outcomes round by round, while
-`exact_measure` keeps the sampled questions but replaces outcome sampling
-with analytic per-pair win measures (win counts are then expected values
-rounded to the nearest integer, and the report says so).
+claim the game supports: `monte_carlo` actually samples outcomes round by
+round, while `exact_measure` keeps the sampled questions but replaces
+outcome sampling with analytic per-pair win measures (win counts are then
+expected values rounded to the nearest integer, and the report says so).
 
 The geometry audit is bookkeeping, not transport simulation: it checks that
 the stations' answer window closes before light could carry a message
@@ -392,49 +391,19 @@ _ROW_FIELDS = {
 }
 
 
-def _parse_row(path: str, line_no: int, fields: list[str], round_id_expected: int) -> RoundRecord:
-    """Parse one table row field by field; the first bad field names `path:line`."""
-    where = f"{path}:{line_no}"
-    if len(fields) != 7:
-        raise ValueError(f"{where}: expected 7 fields, got {len(fields)}")
-    try:
-        round_id = int(fields[0])
-    except ValueError:
-        raise ValueError(f"{where}: round_id must be an integer, got {fields[0]!r}") from None
-    for name, value in zip(("qa", "qb", "aa", "ab"), fields[1:5]):
-        if value not in ("0", "1"):
-            raise ValueError(f"{where}: {name} must be 0 or 1, got {value!r}")
-    try:
-        leaf_measure = float(fields[6])
-    except ValueError:
-        raise ValueError(f"{where}: leaf_measure must be a number, got {fields[6]!r}") from None
-    if round_id != round_id_expected:
-        raise ValueError(f"{where}: round_id {round_id}, expected {round_id_expected}")
-    win_bit = fields[5]
-    if win_bit not in ("0", "1"):
-        raise ValueError(f"{where}: win tag must be 0 or 1, got {win_bit!r}")
-    if not 0.0 <= leaf_measure <= 1.0:
-        raise ValueError(f"{where}: leaf_measure {leaf_measure} is not in [0, 1]")
-    (qa, qb, aa, ab, win), agrees = _ROW_FIELDS[tuple(fields[1:6])]
-    if not agrees:
-        raise ValueError(
-            f"{where}: win tag {win_bit} contradicts the game rule "
-            f"for questions ({qa}, {qb}) and answers ({aa}, {ab})"
-        )
-    return RoundRecord(round_id, qa, qb, aa, ab, win, leaf_measure)
-
-
 def read_round_table(path: str) -> list[RoundRecord]:
     """Read a per-round table back, re-checking every row.
 
     Round ids must count 0, 1, 2, ... as :func:`write_report` writes them,
     the question and answer bits and the win tag must each be exactly 0 or
     1, the tag must agree with the game rule, and `leaf_measure` must be a
-    number in [0, 1]; a violation names `path:line` and the field.  A
-    well-formed row is checked with one lookup of its five bit fields in a
-    table of the 32 well-formed tuples; any other row is parsed field by
-    field, which names the first bad one.
+    number in [0, 1]; a violation names `path:line` and the field.  The five
+    bit fields are checked with one lookup in a table of the 32 well-formed
+    tuples.
     """
+    def bad(message: str) -> ValueError:
+        return ValueError(f"{path}:{line_no}: {message}")
+
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -442,19 +411,30 @@ def read_round_table(path: str) -> list[RoundRecord]:
             raise ValueError(f"unexpected round-table header in {path}: {header!r}")
         for line_no, line in enumerate(fh, start=2):
             fields = line.rstrip("\n").split(",")
+            if len(fields) != 7:
+                raise bad(f"expected 7 fields, got {len(fields)}")
+            entry = _ROW_FIELDS.get(tuple(fields[1:6]))
+            if entry is None:
+                for name, value in zip(("qa", "qb", "aa", "ab", "win tag"), fields[1:6]):
+                    if value not in ("0", "1"):
+                        raise bad(f"{name} must be 0 or 1, got {value!r}")
+            (qa, qb, aa, ab, win), agrees = entry
             try:
-                (qa, qb, aa, ab, win), agrees = _ROW_FIELDS[tuple(fields[1:6])]
-                round_id, leaf_measure = int(fields[0]), float(fields[6])
-                well_formed = (
-                    agrees
-                    and len(fields) == 7
-                    and round_id == len(records)
-                    and 0.0 <= leaf_measure <= 1.0
+                round_id = int(fields[0])
+            except ValueError:
+                raise bad(f"round_id must be an integer, got {fields[0]!r}") from None
+            try:
+                leaf_measure = float(fields[6])
+            except ValueError:
+                raise bad(f"leaf_measure must be a number, got {fields[6]!r}") from None
+            if round_id != len(records):
+                raise bad(f"round_id {round_id}, expected {len(records)}")
+            if not 0.0 <= leaf_measure <= 1.0:
+                raise bad(f"leaf_measure {leaf_measure} is not in [0, 1]")
+            if not agrees:
+                raise bad(
+                    f"win tag {fields[5]} contradicts the game rule "
+                    f"for questions ({qa}, {qb}) and answers ({aa}, {ab})"
                 )
-            except (KeyError, ValueError, IndexError):
-                well_formed = False
-            if well_formed:
-                records.append(RoundRecord(round_id, qa, qb, aa, ab, win, leaf_measure))
-            else:
-                records.append(_parse_row(path, line_no, fields, len(records)))
+            records.append(RoundRecord(round_id, qa, qb, aa, ab, win, leaf_measure))
     return records
