@@ -50,10 +50,11 @@ def _parse_strategy(text: str) -> DeterministicStrategy:
     return DeterministicStrategy(*(int(c) for c in text))
 
 
-def _parse_weights(raw) -> tuple[Fraction, ...]:
+def _parse_weights(raw):
     if isinstance(raw, str):
         raw = raw.split(",")
-    return tuple(Fraction(str(w)) for w in raw)
+    # JSON numbers go through their decimal text; TournamentConfig rejects a non-list.
+    return tuple(Fraction(str(w)) for w in raw) if isinstance(raw, list) else raw
 
 
 def _load_config(path: str) -> dict:
@@ -94,8 +95,6 @@ def _cmd_play(args: argparse.Namespace) -> int:
     strategy = _merged(args, config, "strategy", None)
     if isinstance(strategy, str):
         strategy = _parse_strategy(strategy)
-    elif strategy is not None:
-        strategy = DeterministicStrategy(*strategy)
     weights = _merged(args, config, "weights", None)
     if weights is not None:
         weights = _parse_weights(weights)
@@ -111,8 +110,8 @@ def _cmd_play(args: argparse.Namespace) -> int:
         strategy=strategy,
         weights=weights,
         geometry=Geometry(
-            distance_light_minutes=float(_merged(args, config, "distance", 30.0)),
-            answer_window_minutes=float(_merged(args, config, "window", 5.0)),
+            _merged(args, config, "distance", Geometry.distance_light_minutes),
+            _merged(args, config, "window", Geometry.answer_window_minutes),
         ),
         output_path=_merged(args, config, "out", None),
     )
@@ -211,8 +210,8 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     audit = sub.add_parser("audit", help="check the station isolation geometry")
-    audit.add_argument("--distance", type=float, default=30.0)
-    audit.add_argument("--window", type=float, default=5.0)
+    audit.add_argument("--distance", type=float, default=Geometry.distance_light_minutes)
+    audit.add_argument("--window", type=float, default=Geometry.answer_window_minutes)
 
     branch = sub.add_parser("branch", help="print the branch tree for one question pair")
     branch.add_argument("--qa", type=int, choices=(0, 1), required=True)

@@ -236,18 +236,12 @@ def build_round_network(p: QuantumProtocol, q: QuestionPair) -> DescriptorNetwor
 
 
 def descriptor_win_measure(p: QuantumProtocol, q: QuestionPair) -> float:
-    """Win measure of one round, computed from descriptor joint measures.
+    """Win measure of one round, summed over its branch tree's winning leaves.
 
-    The second, engine-side route to the number that
-    :func:`oracle_win_probability` reaches through state vectors.
+    The second, engine-side route (descriptor joint measures) to the number
+    that :func:`oracle_win_probability` reaches through state vectors.
     """
-    net = build_round_network(p, q)
-    total = 0.0
-    for aa in (0, 1):
-        for ab in (0, 1):
-            if win_predicate(q, aa, ab):
-                total += descriptors.joint_measure(net, [(0, aa), (1, ab)])
-    return total
+    return branch_tree(p, q).win_measure()
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,12 @@ Rounds draw their randomness from per-round counter-based streams keyed by
 (seed, round_id), so results are reproducible bit for bit regardless of
 execution order; a numpy Philox4x64-10 computes a whole block of rounds at
 once, bit-identical to numpy's per-round
-`Generator(Philox(key=[seed, round_id]))`.  Each round then becomes one
-integer outcome code, and counts and records come from a small table of
-the rows those codes stand for.  Two sampling modes cover the two kinds of
-claim the game supports: `monte_carlo` actually samples outcomes round by
-round, while `exact_measure` keeps the sampled questions but replaces
-outcome sampling with analytic per-pair win measures (win counts are then
-expected values rounded to the nearest integer, and the report says so).
+`Generator(Philox(key=[seed, round_id]))`.  Both sampling modes read one
+table of each question pair's outcomes and their probabilities:
+`monte_carlo` samples an outcome per round from it, while `exact_measure`
+keeps the sampled questions but sums each pair's winning probabilities
+instead (win counts are then expected values rounded to the nearest
+integer, and the report says so).
 
 The geometry audit is bookkeeping, not transport simulation: it checks that
 the stations' answer window closes before light could carry a message
@@ -21,6 +20,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -66,6 +67,17 @@ class Geometry:
     distance_light_minutes: float = 30.0
     answer_window_minutes: float = 5.0
 
+    def __post_init__(self):
+        distance, window = self.distance_light_minutes, self.answer_window_minutes
+        if not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
+            for v in (distance, window)
+        ):
+            raise ValueError(
+                f"geometry must be finite positive numbers, got distance {distance!r}, "
+                f"window {window!r}"
+            )
+
 
 @dataclass(frozen=True)
 class TournamentConfig:
@@ -100,12 +112,15 @@ class TournamentConfig:
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.mode == "classical":
-            if self.strategy is None:
-                raise ValueError("classical mode needs a strategy")
-            object.__setattr__(self, "strategy", DeterministicStrategy(*self.strategy))
+            bits = self.strategy
+            if not isinstance(bits, (list, tuple)) or len(bits) != 4 or not all(
+                isinstance(b, int) and not isinstance(b, bool) and b in (0, 1) for b in bits
+            ):
+                raise ValueError(f"classical mode needs a strategy of 4 bits 0 or 1, got {bits!r}")
+            object.__setattr__(self, "strategy", DeterministicStrategy(*bits))
         if self.mode == "mixed":
-            if self.weights is None:
-                raise ValueError("mixed mode needs 16 strategy weights")
+            if not isinstance(self.weights, (list, tuple)):
+                raise ValueError(f"mixed mode needs 16 strategy weights, got {self.weights!r}")
             # Validates the distribution as a side effect.
             game.mixed_strategy_rate(self.weights)
             object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
@@ -179,10 +194,6 @@ class TournamentReport:
         }
 
 
-def _pair_key(q: QuestionPair) -> str:
-    return f"{q.qa}{q.qb}"
-
-
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit products `a * b`, from 32-bit halves."""
     a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
@@ -213,59 +224,26 @@ def _round_uniforms(seed: int, round_ids: np.ndarray) -> np.ndarray:
     return (words >> 11).astype(np.float64) * 2.0**-53
 
 
-def _exact_pair_rates(cfg: TournamentConfig) -> dict[QuestionPair, float]:
-    """Analytic win measure of each question pair under the configured mode."""
-    rates = {}
-    for q in QUESTION_PAIRS:
-        if cfg.mode == "classical":
-            rates[q] = float(win_predicate(q, *cfg.strategy.answers(q)))
-        elif cfg.mode == "mixed":
-            rate = sum(
-                w * Fraction(win_predicate(q, *s.answers(q)))
-                for w, s in zip(cfg.weights, game.all_strategies())
-            )
-            rates[q] = float(rate)
-        else:
-            rates[q] = game.branch_tree(cfg.protocol, q).win_measure()
-    return rates
+def _outcome_table(cfg: TournamentConfig) -> list[list[tuple]]:
+    """Every outcome of each question pair as `(probability, aa, ab, leaf_measure)`.
 
-
-def _outcome_table(cfg: TournamentConfig) -> tuple[list[np.ndarray], list[tuple]]:
-    """Sampling edges of each question pair and the row of every outcome code.
-
-    A round asked `pair = 2*qa + qb` whose third uniform is `u` takes
-    `choice = searchsorted(edges[pair], u, side="right")`: a strategy under
-    `mixed`, a branch leaf under `quantum`, always 0 under `classical`.  Its
-    outcome code is `pair * width + choice`, with `width` the length of each
-    edge array, and `rows[code]` is the `(qa, qb, aa, ab, win, leaf_measure)`
-    it records, `win` from the game rule.
+    One list per pair, in `QUESTION_PAIRS` order: the strategy's answers with
+    probability 1 under `classical`, each of the 16 strategies with its
+    `Fraction` weight under `mixed`, and each branch leaf with its measure
+    under `quantum`.
     """
     if cfg.mode == "classical":
-        edges = [np.ones(1)] * 4
-        outcomes = [[(*cfg.strategy.answers(q), 1.0)] for q in QUESTION_PAIRS]
-    elif cfg.mode == "mixed":
-        cdf = np.cumsum([float(w) for w in cfg.weights])
-        cdf[-1] = 1.0
-        edges = [cdf] * 4
-        outcomes = [
-            [(*s.answers(q), 1.0) for s in game.all_strategies()] for q in QUESTION_PAIRS
+        return [[(1, *cfg.strategy.answers(q), 1.0)] for q in QUESTION_PAIRS]
+    if cfg.mode == "mixed":
+        return [
+            [(w, *s.answers(q), 1.0) for w, s in zip(cfg.weights, game.all_strategies())]
+            for q in QUESTION_PAIRS
         ]
-    else:
-        edges, outcomes = [], []
-        for q in QUESTION_PAIRS:
-            leaves = game.branch_tree(cfg.protocol, q).leaves()
-            pair_edges = np.cumsum([leaf.measure for leaf in leaves])
-            pair_edges[-1] = 1.0
-            edges.append(pair_edges)
-            outcomes.append(
-                [(leaf.alice_outcome, leaf.bob_outcome, leaf.measure) for leaf in leaves]
-            )
-    rows = [
-        (q.qa, q.qb, aa, ab, win_predicate(q, aa, ab), measure)
-        for q, pair_outcomes in zip(QUESTION_PAIRS, outcomes)
-        for aa, ab, measure in pair_outcomes
+    return [
+        [(leaf.measure, leaf.alice_outcome, leaf.bob_outcome, leaf.measure)
+         for leaf in game.branch_tree(cfg.protocol, q).leaves()]
+        for q in QUESTION_PAIRS
     ]
-    return edges, rows
 
 
 def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, list[RoundRecord]]:
@@ -273,14 +251,24 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, list[RoundReco
 
     All rounds' draws are computed at once, `BLOCK_ROUNDS` round ids at a
     time, bit-identical to numpy's per-round `Philox` streams, so reports
-    match a round-by-round loop byte for byte.  Questions are sampled per
-    round in both sampling modes.  In `exact_measure` mode no outcomes are
-    sampled: per-pair wins are the expected values of the analytic rates
-    (rounded to nearest integer) and the record list is empty.
+    match a round-by-round loop byte for byte.  Both sampling modes read
+    :func:`_outcome_table`.  A round asked `pair = 2*qa + qb` takes the
+    outcome its third uniform falls in on the pair's cumulative
+    probabilities; code `pair * width + outcome` indexes its record row.
+    `exact_measure` keeps no records: a pair's rate is the sum of its
+    winning probabilities and its wins are rate x count, rounded.
     """
     analytic = cfg.sampling == "exact_measure"
-    edges, rows = (None, None) if analytic else _outcome_table(cfg)
-    width = 1 if analytic else len(edges[0])
+    table = _outcome_table(cfg)
+    width = len(table[0])
+    edges = [np.cumsum([float(p) for p, *_ in outcomes]) for outcomes in table]
+    for pair_edges in edges:
+        pair_edges[-1] = 1.0
+    rows = [
+        (q.qa, q.qb, aa, ab, win_predicate(q, aa, ab), measure)
+        for q, outcomes in zip(QUESTION_PAIRS, table)
+        for _, aa, ab, measure in outcomes
+    ]
     counts = np.zeros(4 * width, dtype=np.int64)
     records: list[RoundRecord] = []
     for start in range(0, cfg.rounds, BLOCK_ROUNDS):
@@ -289,10 +277,10 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, list[RoundReco
         questions = (2.0 * u[:, :2]).astype(np.int64)
         pair = 2 * questions[:, 0] + questions[:, 1]
         codes = pair * width
+        for p, pair_edges in enumerate(edges):
+            asked = pair == p
+            codes[asked] += np.searchsorted(pair_edges, u[asked, 2], side="right")
         if not analytic:
-            for p, pair_edges in enumerate(edges):
-                asked = pair == p
-                codes[asked] += np.searchsorted(pair_edges, u[asked, 2], side="right")
             records += [
                 RoundRecord(r, *rows[c]) for r, c in zip(range(start, stop), codes.tolist())
             ]
@@ -301,18 +289,15 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, list[RoundReco
     counts = counts.reshape(4, width)
     pair_counts = dict(zip(QUESTION_PAIRS, counts.sum(axis=1).tolist()))
     if analytic:
-        rates = _exact_pair_rates(cfg)
-        wins = {q: round(n * rates[q]) for q, n in pair_counts.items()}
-        per_pair = {
-            _pair_key(q): PairStats(n, wins[q], rates[q]) for q, n in pair_counts.items()
+        rates = {
+            q: float(sum(p for p, aa, ab, _ in outcomes if win_predicate(q, aa, ab)))
+            for q, outcomes in zip(QUESTION_PAIRS, table)
         }
+        wins = {q: round(n * rates[q]) for q, n in pair_counts.items()}
     else:
         won = np.array([row[4] for row in rows]).reshape(4, width)
         wins = dict(zip(QUESTION_PAIRS, (counts * won).sum(axis=1).tolist()))
-        per_pair = {
-            _pair_key(q): PairStats(n, wins[q], wins[q] / n if n else None)
-            for q, n in pair_counts.items()
-        }
+        rates = {q: wins[q] / n if n else None for q, n in pair_counts.items()}
 
     total_wins = sum(wins.values())
     isolated, _ = audit_geometry(cfg.geometry)
@@ -320,13 +305,13 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, list[RoundReco
         total_rounds=cfg.rounds,
         wins=total_wins,
         win_rate=total_wins / cfg.rounds,
-        per_pair=per_pair,
+        per_pair={f"{q.qa}{q.qb}": PairStats(n, wins[q], rates[q]) for q, n in pair_counts.items()},
         classical_ceiling=float(CLASSICAL_CEILING),
         quantum_value=QUANTUM_WIN_RATE,
         seed=cfg.seed,
         mode=cfg.mode,
         sampling=cfg.sampling,
-        analytic=cfg.sampling == "exact_measure",
+        analytic=analytic,
         isolation=isolated,
     )
     return report, records
@@ -347,11 +332,6 @@ def audit_geometry(geometry: Geometry) -> tuple[bool, dict]:
     deadline is not isolation.  The report carries the margin, the spare
     light-minutes between deadline and earliest possible arrival.
     """
-    if geometry.distance_light_minutes <= 0 or geometry.answer_window_minutes <= 0:
-        raise ValueError(
-            f"geometry must be positive, got distance {geometry.distance_light_minutes}, "
-            f"window {geometry.answer_window_minutes}"
-        )
     isolated = geometry.answer_window_minutes < geometry.distance_light_minutes
     report = {
         "distance_light_minutes": geometry.distance_light_minutes,
@@ -391,20 +371,26 @@ _ROW_FIELDS = {
 }
 
 
+#: A `leaf_measure` as :func:`write_report` writes it.
+_PLAIN_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+
+
 def read_round_table(path: str) -> list[RoundRecord]:
     """Read a per-round table back, re-checking every row.
 
-    Round ids must count 0, 1, 2, ... as :func:`write_report` writes them,
-    the question and answer bits and the win tag must each be exactly 0 or
-    1, the tag must agree with the game rule, and `leaf_measure` must be a
-    number in [0, 1]; a violation names `path:line` and the field.  The five
-    bit fields are checked with one lookup in a table of the 32 well-formed
-    tuples.
+    Round ids must count 0, 1, 2, ... in plain decimal as :func:`write_report`
+    writes them, the question and answer bits and the win tag must each be
+    exactly 0 or 1, the tag must agree with the game rule, and
+    `leaf_measure` must be a plain decimal numeral (digits, then optionally
+    a point and digits) in [0, 1]; a violation names `path:line` and the
+    field.  The five bit fields are checked with one lookup in a table of the
+    32 well-formed tuples.
     """
     def bad(message: str) -> ValueError:
         return ValueError(f"{path}:{line_no}: {message}")
 
     records = []
+    measures: dict[str, float] = {}  # each distinct leaf_measure text, checked once
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != ROUND_TABLE_HEADER:
@@ -419,18 +405,18 @@ def read_round_table(path: str) -> list[RoundRecord]:
                     if value not in ("0", "1"):
                         raise bad(f"{name} must be 0 or 1, got {value!r}")
             (qa, qb, aa, ab, win), agrees = entry
-            try:
-                round_id = int(fields[0])
-            except ValueError:
-                raise bad(f"round_id must be an integer, got {fields[0]!r}") from None
-            try:
-                leaf_measure = float(fields[6])
-            except ValueError:
-                raise bad(f"leaf_measure must be a number, got {fields[6]!r}") from None
-            if round_id != len(records):
-                raise bad(f"round_id {round_id}, expected {len(records)}")
-            if not 0.0 <= leaf_measure <= 1.0:
-                raise bad(f"leaf_measure {leaf_measure} is not in [0, 1]")
+            round_id = len(records)
+            if fields[0] != str(round_id):
+                if fields[0].isascii() and fields[0].isdigit():
+                    raise bad(f"round_id {fields[0]}, expected {round_id}")
+                raise bad(f"round_id must be an integer, got {fields[0]!r}")
+            leaf_measure = measures.get(fields[6])
+            if leaf_measure is None:
+                if _PLAIN_DECIMAL.fullmatch(fields[6]) is None:
+                    raise bad(f"leaf_measure must be a number, got {fields[6]!r}")
+                leaf_measure = measures[fields[6]] = float(fields[6])
+                if leaf_measure > 1.0:
+                    raise bad(f"leaf_measure {leaf_measure} is not in [0, 1]")
             if not agrees:
                 raise bad(
                     f"win tag {fields[5]} contradicts the game rule "

@@ -3,9 +3,11 @@
 Everything in this package lives in dimensions 2**n with n <= 11, so dense
 numpy arrays are the substrate: no sparsity, no decompositions.  The global
 qubit-ordering convention is fixed here once: qubit 0 is the leftmost
-(most significant) tensor factor.  All other modules embed operators through
-:func:`tensor` / :func:`embed_one` rather than hand-rolled index math, so a
-convention mistake cannot hide in one module.
+(most significant) tensor factor.  The descriptor engine builds every
+embedded operator through :func:`embed_one` (two :func:`tensor` products).
+The state-vector oracle reads the same convention through its own index
+math (axis k of the reshaped amplitudes, bit n-1-k of a basis index), so a
+convention mistake in either route shows up as a disagreement between them.
 """
 
 from __future__ import annotations
@@ -46,8 +48,11 @@ def roty(theta: float) -> np.ndarray:
     """Rotation about Y: exp(-i*theta*Y/2).
 
     This sign/half-angle convention is the single shared constant between the
-    descriptor engine and the state-vector oracle; both consume the matrix,
-    neither shares application code with the other.
+    descriptor engine and the state-vector oracle.  The oracle and the
+    engine's audit route (the rebuilt cumulative unitary) consume the matrix;
+    the engine's update rule applies the same rotation to (qx, qz) through
+    cos(theta) and sin(theta) instead.  Neither route shares application code
+    with the other.
     """
     if not np.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta}")

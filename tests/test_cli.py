@@ -145,6 +145,41 @@ class TestPlay:
         assert code == 1
         assert "rounds must be an int" in err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"mode": "classical", "strategy": 5}, "strategy of 4 bits"),
+            ({"mode": "classical", "strategy": [0, 2, 1, 0]}, "strategy of 4 bits"),
+            ({"mode": "classical", "strategy": [0, 1, 1]}, "strategy of 4 bits"),
+            ({"mode": "classical", "strategy": [True, False, False, True]}, "strategy of 4 bits"),
+            ({"mode": "mixed", "weights": 5}, "16 strategy weights"),
+            ({"mode": "mixed", "weights": {"a": 1}}, "16 strategy weights"),
+            ({"distance": [1]}, "geometry must be"),
+            ({"window": "5"}, "geometry must be"),
+        ],
+        ids=["strategy-int", "strategy-bit-2", "strategy-three-bits", "strategy-bools",
+             "weights-int", "weights-object", "distance-list", "window-string"],
+    )
+    def test_config_value_of_the_wrong_type_is_an_error(self, capsys, tmp_path, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "play", "--config", str(path), "--rounds", "10")
+        assert code == 1
+        assert err.startswith("error:")
+        assert message in err
+
+    @pytest.mark.parametrize("flags", [("--distance", "-1"), ("--distance", "nan"),
+                                       ("--window", "inf"), ("--window", "0")])
+    def test_bad_geometry_fails_before_any_round_is_drawn(self, capsys, monkeypatch, flags):
+        def no_draws(*_):
+            raise AssertionError("rounds were drawn")
+
+        monkeypatch.setattr(harness, "_round_uniforms", no_draws)
+        code, out, err = run_cli(capsys, "play", "--rounds", "100000", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: geometry must be finite positive numbers")
+
     def test_single_round_report_is_strict_json(self, capsys, tmp_path):
         # Three of the four question pairs go unseen; their rate is null, not NaN.
         base = tmp_path / "r"

@@ -1,9 +1,10 @@
 """Golden byte-identity of seeded `play` reports.
 
 The digests below pin `BASE.json` and `BASE.csv` for a few (mode, sampling,
-seed, rounds) cases, some with a strategy or mixture flag.  Any change to the engine, the sampler or the report
-writer that moves a single byte of a seeded report fails here, so a
-refactor that claims to keep every number can prove it.
+seed, rounds) cases, some with a strategy or mixture flag.  Any change to
+the engine, the sampler or the report writer that moves a single byte of a
+seeded report fails here, so a refactor that claims to keep every number
+can prove it.
 """
 
 import hashlib

@@ -59,6 +59,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TournamentConfig(rounds=10, mode="mixed", weights=(Fraction(1, 8),) * 16)
 
+    @pytest.mark.parametrize(
+        "strategy", [5, "0110", (0, 1, 1), (0, 1, 1, 0, 0), (0, 2, 1, 0), (0, 1, 1, -1),
+                     (0, 1.0, 1, 0), (False, True, True, False)],
+    )
+    def test_strategy_must_be_four_bits(self, strategy):
+        with pytest.raises(ValueError, match="strategy of 4 bits"):
+            TournamentConfig(rounds=10, mode="classical", strategy=strategy)
+
+    def test_strategy_list_becomes_a_table(self):
+        cfg = TournamentConfig(rounds=10, mode="classical", strategy=[0, 1, 1, 0])
+        assert cfg.strategy == DeterministicStrategy(0, 1, 1, 0)
+
+    @pytest.mark.parametrize("weights", [5, "1/16", None, {"a": 1}])
+    def test_weights_must_be_a_sequence(self, weights):
+        with pytest.raises(ValueError, match="16 strategy weights"):
+            TournamentConfig(rounds=10, mode="mixed", weights=weights)
+
     def test_quantum_defaults_to_canonical_protocol(self):
         cfg = TournamentConfig(rounds=10, mode="quantum")
         assert cfg.protocol is not None
@@ -85,6 +102,15 @@ class TestCausalityAudit:
             harness.audit_geometry(Geometry(0.0, 5.0))
         with pytest.raises(ValueError):
             harness.audit_geometry(Geometry(30.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "distance, window",
+        [(math.nan, 5.0), (30.0, math.inf), (-math.inf, 5.0), ("30", 5.0), (30.0, None),
+         (True, 5.0)],
+    )
+    def test_geometry_is_checked_at_construction(self, distance, window):
+        with pytest.raises(ValueError, match="geometry must be finite positive numbers"):
+            Geometry(distance, window)
 
 
 class TestClassicalTournament:
@@ -309,9 +335,19 @@ class TestReportFiles:
             ("0,0,0,0,0,1,", r"bad\.csv:2: leaf_measure must be a number, got ''"),
             ("0,0,0,0,0,1", r"bad\.csv:2: expected 7 fields, got 6"),
             ("0,0,0,0,0,1,1.0,1", r"bad\.csv:2: expected 7 fields, got 8"),
+            ("+0,0,0,0,0,1,1.0", r"bad\.csv:2: round_id must be an integer, got '\+0'"),
+            (" 0,0,0,0,0,1,1.0", r"bad\.csv:2: round_id must be an integer, got ' 0'"),
+            ("0_0,0,0,0,0,1,1.0", r"bad\.csv:2: round_id must be an integer, got '0_0'"),
+            ("00,0,0,0,0,1,1.0", r"bad\.csv:2: round_id 00, expected 0"),
+            ("0,0,0,0,0,1, 1e0", r"bad\.csv:2: leaf_measure must be a number, got ' 1e0'"),
+            ("0,0,0,0,0,1,1e0", r"bad\.csv:2: leaf_measure must be a number, got '1e0'"),
+            ("0,0,0,0,0,1,+1.0", r"bad\.csv:2: leaf_measure must be a number, got '\+1\.0'"),
+            ("0,0,0,0,0,1,1_0", r"bad\.csv:2: leaf_measure must be a number, got '1_0'"),
         ],
         ids=["qa", "qb", "aa", "ab", "round-id-float", "round-id-word", "leaf-word",
-             "leaf-empty", "six-fields", "eight-fields"],
+             "leaf-empty", "six-fields", "eight-fields", "round-id-plus", "round-id-space",
+             "round-id-underscore", "round-id-leading-zero", "leaf-space-exponent",
+             "leaf-exponent", "leaf-plus", "leaf-underscore"],
     )
     def test_read_back_names_the_bad_field_and_line(self, tmp_path, row, message):
         path = tmp_path / "bad.csv"

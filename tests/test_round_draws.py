@@ -29,6 +29,20 @@ def reference_uniforms(seed: int, round_id: int) -> np.ndarray:
     return np.random.Generator(np.random.Philox(key=key)).random(3)
 
 
+def reference_exact_rates(cfg: TournamentConfig) -> dict:
+    """Analytic win rate of each question pair, worked out mode by mode."""
+    if cfg.mode == "classical":
+        return {q: float(game.win_predicate(q, *cfg.strategy.answers(q)))
+                for q in game.QUESTION_PAIRS}
+    if cfg.mode == "mixed":
+        return {
+            q: float(sum(w * game.win_predicate(q, *s.answers(q))
+                         for w, s in zip(cfg.weights, game.all_strategies())))
+            for q in game.QUESTION_PAIRS
+        }
+    return {q: game.branch_tree(cfg.protocol, q).win_measure() for q in game.QUESTION_PAIRS}
+
+
 def reference_play(cfg: TournamentConfig) -> tuple[dict, list[RoundRecord]]:
     """Round-by-round loop with one numpy Philox generator per round."""
     counts = {q: 0 for q in game.QUESTION_PAIRS}
@@ -60,7 +74,7 @@ def reference_play(cfg: TournamentConfig) -> tuple[dict, list[RoundRecord]]:
         wins[q] += win
         records.append(RoundRecord(round_id, q.qa, q.qb, aa, ab, win, leaf_measure))
     if cfg.sampling == "exact_measure":
-        rates = harness._exact_pair_rates(cfg)
+        rates = reference_exact_rates(cfg)
         wins = {q: round(counts[q] * rates[q]) for q in game.QUESTION_PAIRS}
     else:
         rates = {q: wins[q] / counts[q] if counts[q] else None for q in game.QUESTION_PAIRS}
