@@ -85,7 +85,8 @@ class TournamentConfig:
 
     The mode carries its own payload: a strategy table for `classical`,
     sixteen weights for `mixed`, a protocol for `quantum` (defaulting to
-    the canonical one).
+    the canonical one).  A strategy or weights given to another mode are
+    checked all the same.
     """
 
     rounds: int
@@ -111,16 +112,16 @@ class TournamentConfig:
             raise ValueError(f"sampling must be one of {SAMPLING}, got {self.sampling!r}")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.mode == "classical":
+        if self.mode == "classical" or self.strategy is not None:
             bits = self.strategy
             if not isinstance(bits, (list, tuple)) or len(bits) != 4 or not all(
                 isinstance(b, int) and not isinstance(b, bool) and b in (0, 1) for b in bits
             ):
-                raise ValueError(f"classical mode needs a strategy of 4 bits 0 or 1, got {bits!r}")
+                raise ValueError(f"strategy must be 4 bits 0 or 1, got {bits!r}")
             object.__setattr__(self, "strategy", DeterministicStrategy(*bits))
-        if self.mode == "mixed":
+        if self.mode == "mixed" or self.weights is not None:
             if not isinstance(self.weights, (list, tuple)):
-                raise ValueError(f"mixed mode needs 16 strategy weights, got {self.weights!r}")
+                raise ValueError(f"weights must be a list of 16 numbers, got {self.weights!r}")
             # Validates the distribution as a side effect.
             game.mixed_strategy_rate(self.weights)
             object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))

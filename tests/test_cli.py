@@ -148,17 +148,20 @@ class TestPlay:
     @pytest.mark.parametrize(
         "config, message",
         [
-            ({"mode": "classical", "strategy": 5}, "strategy of 4 bits"),
-            ({"mode": "classical", "strategy": [0, 2, 1, 0]}, "strategy of 4 bits"),
-            ({"mode": "classical", "strategy": [0, 1, 1]}, "strategy of 4 bits"),
-            ({"mode": "classical", "strategy": [True, False, False, True]}, "strategy of 4 bits"),
-            ({"mode": "mixed", "weights": 5}, "16 strategy weights"),
-            ({"mode": "mixed", "weights": {"a": 1}}, "16 strategy weights"),
+            ({"mode": "classical", "strategy": 5}, "strategy must be 4 bits"),
+            ({"mode": "classical", "strategy": [0, 2, 1, 0]}, "strategy must be 4 bits"),
+            ({"mode": "classical", "strategy": [0, 1, 1]}, "strategy must be 4 bits"),
+            ({"mode": "classical", "strategy": [True, False, True, True]}, "must be 4 bits"),
+            ({"mode": "mixed", "weights": 5}, "weights must be a list of 16"),
+            ({"mode": "mixed", "weights": {"a": 1}}, "weights must be a list of 16"),
+            ({"mode": "quantum", "strategy": 5}, "strategy must be 4 bits"),
+            ({"mode": "quantum", "weights": 5}, "weights must be a list of 16"),
             ({"distance": [1]}, "geometry must be"),
             ({"window": "5"}, "geometry must be"),
         ],
         ids=["strategy-int", "strategy-bit-2", "strategy-three-bits", "strategy-bools",
-             "weights-int", "weights-object", "distance-list", "window-string"],
+             "weights-int", "weights-object", "quantum-strategy-int", "quantum-weights-int",
+             "distance-list", "window-string"],
     )
     def test_config_value_of_the_wrong_type_is_an_error(self, capsys, tmp_path, config, message):
         path = tmp_path / "cfg.json"

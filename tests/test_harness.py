@@ -64,7 +64,7 @@ class TestConfigValidation:
                      (0, 1.0, 1, 0), (False, True, True, False)],
     )
     def test_strategy_must_be_four_bits(self, strategy):
-        with pytest.raises(ValueError, match="strategy of 4 bits"):
+        with pytest.raises(ValueError, match="strategy must be 4 bits"):
             TournamentConfig(rounds=10, mode="classical", strategy=strategy)
 
     def test_strategy_list_becomes_a_table(self):
@@ -73,7 +73,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("weights", [5, "1/16", None, {"a": 1}])
     def test_weights_must_be_a_sequence(self, weights):
-        with pytest.raises(ValueError, match="16 strategy weights"):
+        with pytest.raises(ValueError, match="weights must be a list of 16"):
             TournamentConfig(rounds=10, mode="mixed", weights=weights)
 
     def test_quantum_defaults_to_canonical_protocol(self):
