@@ -260,6 +260,7 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, list[RoundReco
     winning probabilities and its wins are rate x count, rounded.
     """
     analytic = cfg.sampling == "exact_measure"
+    isolated, _ = audit_geometry(cfg.geometry)
     table = _outcome_table(cfg)
     width = len(table[0])
     edges = [np.cumsum([float(p) for p, *_ in outcomes]) for outcomes in table]
@@ -301,7 +302,6 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, list[RoundReco
         rates = {q: wins[q] / n if n else None for q, n in pair_counts.items()}
 
     total_wins = sum(wins.values())
-    isolated, _ = audit_geometry(cfg.geometry)
     report = TournamentReport(
         total_rounds=cfg.rounds,
         wins=total_wins,
