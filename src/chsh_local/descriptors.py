@@ -15,29 +15,34 @@ G^dagger P G written in the targets' current generators:
 * CNOT(c, t): qx_c <- qx_c qx_t and qz_t <- qz_c qz_t; qz_c and qx_t are
   unchanged.
 
-Descriptors of untouched qubits are carried over verbatim, object identity
-included, so locality is a structural property of the data and
-:func:`locality_audit` can demand bit-for-bit equality rather than a
-tolerance.
+Each component is a read-only *Pauli sum* {(x_bits, z_bits): coeff}, the
+sum of coeff X^x Z^z with qubit k at bit n-1-k (Gottesman, quant-ph/9807006).
+Every gate above is real orthogonal, so coefficients stay real; products
+follow X^x1 Z^z1 X^x2 Z^z2 = (-1)^popcount(z1 & x2) X^(x1^x2) Z^(z1^z2),
+and only exact zeros are dropped.  A sum of more than :data:`MAX_TERMS`
+strings raises.  Untouched qubits keep their Descriptor objects, so locality
+is a structural property of the data and :func:`locality_audit` demands
+exact equality, not a tolerance.
 
-The cumulative unitary U of a network is audit-only: it is not stored but
-rebuilt from the gate log on request, and :func:`recomputed_components`
-conjugates the initial Paulis by it densely: a second route that shares
-nothing with the update rule.
-
-Outcome statistics are extracted as *branch measures*: the squared-amplitude
-weight of a history, read as the expectation of a projector against the fixed
-reference state.  Two independent routes exist for every such number, this
-engine and the state-vector oracle in :mod:`chsh_local.statevector`; they
-share gate-matrix constants but no application code.  Each measure is
-computed once per call; the audits (oracle agreement, order independence of
-joint records, locality) run in :mod:`chsh_local.verify`.
+Outcome statistics are *branch measures*: the squared-amplitude weight of a
+history, the expectation of a projector in the reference state.  As
+<0...0| X^x Z^z |0...0> = [x = 0], a measure reads the coefficients of the
+strings with no X bit.  The state-vector oracle in
+:mod:`chsh_local.statevector` is a second, independent route to every such
+number (the two share gate-matrix constants, no application code), and
+:mod:`chsh_local.verify` runs the audits.  Their dense route, capped at
+``MAX_QUBITS``, is :func:`embedded_gate`, the cumulative unitary rebuilt from
+the gate log, :func:`to_dense` and :func:`recomputed_components`, which
+conjugates the initial Paulis by that unitary and so shares nothing with the
+update rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -48,8 +53,18 @@ from .linalg import DEFAULT_TOL, MAX_QUBITS
 #: conditioning on one is a caller bug, not a 0/0.
 ZERO_MEASURE = 1e-12
 
+#: Most Pauli strings one sum may hold.  A CNOT or joint-measure step
+#: multiplies two sums term by term, so two capped sums form at most
+#: 512**2 = 262144 strings before the check: about 0.4 s and 50 MiB.  512
+#: holds every sum on four qubits (4**4 strings); wider registers fit while
+#: their sums stay this short, as Clifford circuits' do (one string each).
+MAX_TERMS = 512
+
 _SINGLE_QUBIT_GATES = ("X", "Y", "Z", "H", "ROTY")
 GATE_NAMES = _SINGLE_QUBIT_GATES + ("CNOT",)
+
+#: A descriptor component: read-only {(x_bits, z_bits): coeff}.
+PauliSum = Mapping[tuple[int, int], float]
 
 
 @dataclass(frozen=True)
@@ -118,15 +133,11 @@ class OutcomeSpec(NamedTuple):
 
 @dataclass(frozen=True)
 class Descriptor:
-    """Evolved Pauli generator pair of one qubit, each of full register size."""
+    """Evolved Pauli generator pair of one qubit, each a Pauli sum."""
 
     qubit_id: int
-    qx: np.ndarray
-    qz: np.ndarray
-
-    def qy(self) -> np.ndarray:
-        """Derived third component i * qx * qz; never stored."""
-        return 1j * linalg.matmul(self.qx, self.qz)
+    qx: PauliSum
+    qz: PauliSum
 
 
 @dataclass(frozen=True)
@@ -137,16 +148,12 @@ class DescriptorNetwork:
     measures read only those.  The gate log is the audit trail: the
     cumulative unitary is rebuilt from it on each read, for audits only.
     Networks are values: gate application returns a new network and never
-    mutates arrays, so distinct networks may evolve in parallel freely.
+    mutates a sum, so distinct networks may evolve in parallel freely.
     """
 
     n: int
     descriptors: tuple[Descriptor, ...]
     gate_log: tuple[GateSpec, ...] = ()
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n
 
     @property
     def cumulative_unitary(self) -> np.ndarray:
@@ -155,20 +162,21 @@ class DescriptorNetwork:
         Rebuilt densely on every read (one matmul per logged gate), so it
         costs nothing on the gate-application path.
         """
-        unitary = linalg.identity(self.dim)
+        _check_dense(self.n)
+        unitary = linalg.identity(2**self.n)
         for g in self.gate_log:
             unitary = linalg.matmul(embedded_gate(g, self.n), unitary)
-        return _frozen(unitary)
+        return unitary
 
 
-def _single_qubit_matrix(g: GateSpec) -> np.ndarray:
-    if g.name == "ROTY":
-        return linalg.roty(g.theta)
-    return {"X": linalg.X, "Y": linalg.Y, "Z": linalg.Z, "H": linalg.H}[g.name]
+def _check_dense(n: int) -> None:
+    if n > MAX_QUBITS:
+        raise ValueError(f"the dense audit route handles at most {MAX_QUBITS} qubits, got {n}")
 
 
 def embedded_gate(g: GateSpec, n: int) -> np.ndarray:
     """Full 2**n matrix of a gate at its target slots (audit route only)."""
+    _check_dense(n)
     g.validate_for(n)
     if g.name == "CNOT":
         control, target = g.targets
@@ -179,43 +187,81 @@ def embedded_gate(g: GateSpec, n: int) -> np.ndarray:
         on_one[control] = linalg.P1
         on_one[target] = linalg.X
         return linalg.tensor_all(on_zero) + linalg.tensor_all(on_one)
-    return linalg.embed_one(_single_qubit_matrix(g), g.targets[0], n)
+    return linalg.embed_one(linalg.single_qubit_gate(g.name, g.theta), g.targets[0], n)
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
+def to_dense(component: PauliSum, n: int) -> np.ndarray:
+    """Dense 2**n matrix of a Pauli sum on n qubits (audit route only)."""
+    _check_dense(n)
+    dim = 2**n
+    cols = np.arange(dim)
+    m = np.zeros((dim, dim), dtype=complex)
+    for (x, z), c in component.items():
+        # X^x Z^z |j> = (-1)^popcount(j & z) |j ^ x>.
+        m[cols ^ x, cols] += [-c if (j & z).bit_count() & 1 else c for j in range(dim)]
     return m
 
 
+def _pauli_sum(acc: dict) -> PauliSum:
+    """Freeze accumulated terms, dropping exact zeros; more than MAX_TERMS raise."""
+    terms = {key: coeff for key, coeff in acc.items() if coeff != 0.0}
+    if len(terms) > MAX_TERMS:
+        raise ValueError(f"a Pauli sum of {len(terms)} strings exceeds the term cap {MAX_TERMS}")
+    return MappingProxyType(terms)
+
+
+def _product(a: PauliSum, b: PauliSum) -> PauliSum:
+    """The operator product a . b, by the product rule in the module docstring."""
+    acc = {}
+    for (x1, z1), c1 in a.items():
+        for (x2, z2), c2 in b.items():
+            key = (x1 ^ x2, z1 ^ z2)
+            c = -c1 * c2 if (z1 & x2).bit_count() & 1 else c1 * c2
+            acc[key] = acc.get(key, 0.0) + c
+    return _pauli_sum(acc)
+
+
+def _combine(*scaled: tuple[float, PauliSum]) -> PauliSum:
+    """The linear combination w1 s1 + w2 s2 + ... of (w, s) pairs."""
+    acc = {}
+    for w, s in scaled:
+        for key, c in s.items():
+            acc[key] = acc.get(key, 0.0) + w * c
+    return _pauli_sum(acc)
+
+
+def _reference_expectation(s: PauliSum) -> float:
+    """<0...0| s |0...0>: the coefficients of the strings with no X bit."""
+    return float(sum(c for (x, _), c in s.items() if x == 0))
+
+
 def init_network(n: int) -> DescriptorNetwork:
-    """Fresh n-qubit network: descriptor k holds the embedded Paulis of slot k."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    """Fresh n-qubit network: descriptor k holds the one-term sums X_k and Z_k."""
+    if n < 1:
+        raise ValueError(f"qubit count must be >= 1, got {n}")
     descriptors = tuple(
         Descriptor(
             qubit_id=k,
-            qx=_frozen(linalg.embed_one(linalg.X, k, n)),
-            qz=_frozen(linalg.embed_one(linalg.Z, k, n)),
+            qx=MappingProxyType({(1 << (n - 1 - k), 0): 1.0}),
+            qz=MappingProxyType({(0, 1 << (n - 1 - k)): 1.0}),
         )
         for k in range(n)
     )
     return DescriptorNetwork(n=n, descriptors=descriptors)
 
 
-def _single_qubit_update(
-    g: GateSpec, qx: np.ndarray, qz: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _single_qubit_update(g: GateSpec, qx: PauliSum, qz: PauliSum) -> tuple[PauliSum, PauliSum]:
     """New (qx, qz) of a single-qubit gate's target from its current pair."""
     if g.name == "H":
         return qz, qx
     if g.name == "X":
-        return qx, _frozen(-qz)
+        return qx, _combine((-1.0, qz))
     if g.name == "Z":
-        return _frozen(-qx), qz
+        return _combine((-1.0, qx)), qz
     if g.name == "Y":
-        return _frozen(-qx), _frozen(-qz)
-    c, s = np.cos(g.theta), np.sin(g.theta)
-    return _frozen(c * qx + s * qz), _frozen(c * qz - s * qx)
+        return _combine((-1.0, qx)), _combine((-1.0, qz))
+    c, s = math.cos(g.theta), math.sin(g.theta)
+    return _combine((c, qx), (s, qz)), _combine((c, qz), (-s, qx))
 
 
 def apply_gate(net: DescriptorNetwork, g: GateSpec) -> DescriptorNetwork:
@@ -223,7 +269,7 @@ def apply_gate(net: DescriptorNetwork, g: GateSpec) -> DescriptorNetwork:
 
     Each new target descriptor is computed from the targets' current
     descriptors by the local update rule in the module docstring: sign
-    flips, a swap or a rotation for single-qubit gates, and one matrix
+    flips, a swap or a rotation for single-qubit gates, and one Pauli-sum
     product per changed component for CNOT.  No cumulative unitary is
     formed.  Non-targets keep their Descriptor objects, object identity
     included.
@@ -233,8 +279,8 @@ def apply_gate(net: DescriptorNetwork, g: GateSpec) -> DescriptorNetwork:
         c, t = g.targets
         dc, dt = net.descriptors[c], net.descriptors[t]
         updated = {
-            c: Descriptor(qubit_id=c, qx=_frozen(linalg.matmul(dc.qx, dt.qx)), qz=dc.qz),
-            t: Descriptor(qubit_id=t, qx=dt.qx, qz=_frozen(linalg.matmul(dc.qz, dt.qz))),
+            c: Descriptor(qubit_id=c, qx=_product(dc.qx, dt.qx), qz=dc.qz),
+            t: Descriptor(qubit_id=t, qx=dt.qx, qz=_product(dc.qz, dt.qz)),
         }
     else:
         (k,) = g.targets
@@ -264,33 +310,29 @@ def _check_outcome(net: DescriptorNetwork, o) -> OutcomeSpec:
 def branch_measure(net: DescriptorNetwork, o) -> float:
     """Measure of the history where qubit's z-readout shows `outcome`.
 
-    Reads <0...0| (I + (-1)**outcome qz) / 2 |0...0>, i.e. the (0, 0) entry
-    of the outcome projector.  Measures of the two outcomes of any qubit
-    sum to 1.
+    Reads <0...0| (I + (-1)**outcome qz) / 2 |0...0> from qz's strings
+    with no X bit.  Measures of the two outcomes of any qubit sum to 1.
     """
     o = _check_outcome(net, o)
     sign = 1.0 if o.outcome == 0 else -1.0
-    value = (1.0 + sign * net.descriptors[o.qubit].qz[0, 0]) / 2.0
-    return float(value.real)
+    return (1.0 + sign * _reference_expectation(net.descriptors[o.qubit].qz)) / 2.0
 
 
 def joint_measure(net: DescriptorNetwork, outcomes) -> float:
     """Measure of a joint outcome record on distinct qubits (1 if empty).
 
-    One matrix-vector chain from |0...0>: each outcome's projector
-    (I + sign qz) / 2 is applied as v <- (v + sign qz v) / 2, last outcome
-    first, and the measure is Re v[0].  The projectors commute, so order is
-    irrelevant; the picture equivalence suite checks both orders.
+    Folds the outcome projectors into one Pauli sum, M <- (M + sign M qz) / 2
+    from M = I, and reads <0...0| M |0...0>.  The projectors commute, so
+    order is irrelevant; the picture equivalence suite checks both orders.
     """
     specs = [_check_outcome(net, o) for o in outcomes]
     if len({s.qubit for s in specs}) != len(specs):
         raise ValueError(f"joint outcome qubits must be distinct, got {[s.qubit for s in specs]}")
-    v = np.zeros(net.dim, dtype=complex)
-    v[0] = 1.0
-    for s in reversed(specs):
+    m = {(0, 0): 1.0}
+    for s in specs:
         sign = 1.0 if s.outcome == 0 else -1.0
-        v = (v + sign * (net.descriptors[s.qubit].qz @ v)) / 2.0
-    return float(v[0].real)
+        m = _combine((0.5, m), (0.5 * sign, _product(m, net.descriptors[s.qubit].qz)))
+    return _reference_expectation(m)
 
 
 def conditional_measure(net: DescriptorNetwork, given, then) -> float:
@@ -322,11 +364,10 @@ def recomputed_components(net: DescriptorNetwork, qubit: int) -> tuple[np.ndarra
 def locality_audit(net: DescriptorNetwork, watched: int, remote_ops: Iterable[GateSpec]) -> bool:
     """Check that gates avoiding `watched` leave its descriptor untouched.
 
-    The stored matrices must come back bit-for-bit identical (exact equality,
-    no tolerance: gate application never rewrites a non-target), and the
-    dense recomputation from the cumulative unitary, which does not use the
-    local update rule, must agree with the stored matrices within the
-    default tolerance.
+    The stored sums must come back exactly equal (no tolerance: gate
+    application never rewrites a non-target), and the dense recomputation
+    from the cumulative unitary, which does not use the local update rule,
+    must agree with their dense forms within the default tolerance.
     """
     if not 0 <= watched < net.n:
         raise ValueError(f"qubit {watched} out of range for n={net.n}")
@@ -337,10 +378,9 @@ def locality_audit(net: DescriptorNetwork, watched: int, remote_ops: Iterable[Ga
     before = net.descriptors[watched]
     evolved = apply_circuit(net, remote_ops)
     after = evolved.descriptors[watched]
-    untouched = np.array_equal(before.qx, after.qx) and np.array_equal(before.qz, after.qz)
     qx_audit, qz_audit = recomputed_components(evolved, watched)
     consistent = (
-        linalg.frobenius_distance(qx_audit, after.qx) <= DEFAULT_TOL
-        and linalg.frobenius_distance(qz_audit, after.qz) <= DEFAULT_TOL
+        linalg.frobenius_distance(qx_audit, to_dense(after.qx, net.n)) <= DEFAULT_TOL
+        and linalg.frobenius_distance(qz_audit, to_dense(after.qz, net.n)) <= DEFAULT_TOL
     )
-    return untouched and consistent
+    return after == before and consistent

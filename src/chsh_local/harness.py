@@ -79,14 +79,25 @@ class Geometry:
             )
 
 
+def _is_weight(w) -> bool:
+    """True for an int, Fraction, finite float or fraction string."""
+    if isinstance(w, bool) or not isinstance(w, (int, float, Fraction, str)):
+        return False
+    try:
+        Fraction(w)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class TournamentConfig:
     """Everything one tournament run depends on.
 
     The mode carries its own payload: a strategy table for `classical`,
     sixteen weights for `mixed`, a protocol for `quantum` (defaulting to
-    the canonical one).  A strategy or weights given to another mode are
-    checked all the same.
+    the canonical one).  A strategy, weights or protocol given to another
+    mode are checked all the same.
     """
 
     rounds: int
@@ -120,11 +131,18 @@ class TournamentConfig:
                 raise ValueError(f"strategy must be 4 bits 0 or 1, got {bits!r}")
             object.__setattr__(self, "strategy", DeterministicStrategy(*bits))
         if self.mode == "mixed" or self.weights is not None:
-            if not isinstance(self.weights, (list, tuple)):
-                raise ValueError(f"weights must be a list of 16 numbers, got {self.weights!r}")
+            weights = self.weights
+            if not isinstance(weights, (list, tuple)) or not all(map(_is_weight, weights)):
+                raise ValueError(
+                    f"weights must be a list of 16 numbers or fraction strings, got {weights!r}"
+                )
             # Validates the distribution as a side effect.
             game.mixed_strategy_rate(self.weights)
             object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+        if not isinstance(self.geometry, Geometry):
+            raise ValueError(f"geometry must be a Geometry, got {self.geometry!r}")
+        if self.protocol is not None and not isinstance(self.protocol, QuantumProtocol):
+            raise ValueError(f"protocol must be a QuantumProtocol, got {self.protocol!r}")
         if self.mode == "quantum" and self.protocol is None:
             object.__setattr__(self, "protocol", game.default_protocol())
 

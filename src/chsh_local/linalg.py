@@ -1,13 +1,14 @@
 """Dense complex linear algebra for qubit operators.
 
-Everything in this package lives in dimensions 2**n with n <= 11, so dense
-numpy arrays are the substrate: no sparsity, no decompositions.  The global
-qubit-ordering convention is fixed here once: qubit 0 is the leftmost
-(most significant) tensor factor.  The descriptor engine builds every
-embedded operator through :func:`embed_one` (two :func:`tensor` products).
-The state-vector oracle reads the same convention through its own index
-math (axis k of the reshaped amplitudes, bit n-1-k of a basis index), so a
-convention mistake in either route shows up as a disagreement between them.
+The dense routes, the state-vector oracle and the descriptor engine's audit
+route, live in dimensions 2**n with n <= MAX_QUBITS, so dense numpy arrays
+are the substrate: no sparsity, no decompositions.  The engine's update rule
+works on Pauli sums and uses nothing here.  The qubit-ordering convention is
+fixed here once: qubit 0 is the leftmost (most significant) tensor factor.
+The audit route embeds operators through :func:`embed_one` (two
+:func:`tensor` products); the oracle reads the same convention through its
+own index math (axis k of the reshaped amplitudes, bit n-1-k of a basis
+index), so a convention mistake in either shows up as a disagreement.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import numpy as np
 #: Default comparison tolerance (Frobenius norm), inherited by every module.
 DEFAULT_TOL = 1e-10
 
-#: Largest register size.  An n-qubit network holds 2n dense 2**n x 2**n
-#: complex128 descriptors, 2n * 4**n * 16 bytes: about 1.4 GiB at n = 11
-#: (what redundancy_demo(10) needs) but 6 GiB at n = 12, too close to the
-#: 7.8 GiB of a small host to be an honest cap.
+#: Largest register of the dense routes, the state-vector oracle and the
+#: descriptor engine's audit route.  An audit holds about six 2**n x 2**n
+#: complex128 matrices at once (the cumulative unitary, its adjoint, an
+#: embedded Pauli and products), 16 * 4**n bytes each: a locality audit peaks
+#: near 350 MiB at n = 11 and would need four times that at n = 12.
 MAX_QUBITS = 11
 
 
@@ -47,17 +49,19 @@ CNOT = _frozen([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 def roty(theta: float) -> np.ndarray:
     """Rotation about Y: exp(-i*theta*Y/2).
 
-    This sign/half-angle convention is the single shared constant between the
-    descriptor engine and the state-vector oracle.  The oracle and the
-    engine's audit route (the rebuilt cumulative unitary) consume the matrix;
-    the engine's update rule applies the same rotation to (qx, qz) through
-    cos(theta) and sin(theta) instead.  Neither route shares application code
-    with the other.
+    This sign/half-angle convention is shared by the state-vector oracle and
+    the descriptor engine's audit route; the engine's update rule applies
+    the same rotation to (qx, qz) through cos(theta) and sin(theta).
     """
     if not np.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta}")
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def single_qubit_gate(name: str, theta: float | None = None) -> np.ndarray:
+    """Matrix of the single-qubit gate X, Y, Z, H or ROTY(theta) by name."""
+    return roty(theta) if name == "ROTY" else {"X": X, "Y": Y, "Z": Z, "H": H}[name]
 
 
 def _as_square(a) -> np.ndarray:

@@ -63,9 +63,7 @@ def apply_gate_sv(state: StateVector, g: GateSpec) -> StateVector:
         flip_axis = target if target < control else target - 1
         psi[picked] = np.flip(psi[picked], axis=flip_axis)
     else:
-        u = linalg.roty(g.theta) if g.name == "ROTY" else {
-            "X": linalg.X, "Y": linalg.Y, "Z": linalg.Z, "H": linalg.H,
-        }[g.name]
+        u = linalg.single_qubit_gate(g.name, g.theta)
         k = g.targets[0]
         psi = np.tensordot(u, psi, axes=([1], [k]))
         psi = np.moveaxis(psi, 0, k)

@@ -139,7 +139,7 @@ def locality_suite(
 
     Each trial preludes with gates anywhere (so the watched descriptor is
     generally nontrivial), then audits a circuit that avoids the watched
-    qubit: its stored matrices must come back exactly unchanged and must
+    qubit: its stored sums must come back exactly unchanged and must
     match recomputation from the cumulative unitary.
     """
     rng = np.random.default_rng(seed)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chsh_local import descriptors, linalg, statevector
+from chsh_local import descriptors, game, linalg, statevector
 from chsh_local.descriptors import GateSpec
+from chsh_local.game import QUESTION_PAIRS
 
 
 def bell_network():
@@ -75,8 +76,10 @@ class TestEmbeddedGate:
 class TestInitNetwork:
     def test_fresh_descriptors_are_embedded_paulis(self):
         net = descriptors.init_network(2)
-        assert np.array_equal(net.descriptors[0].qx, linalg.embed_one(linalg.X, 0, 2))
-        assert np.array_equal(net.descriptors[1].qz, linalg.embed_one(linalg.Z, 1, 2))
+        qx0 = descriptors.to_dense(net.descriptors[0].qx, 2)
+        qz1 = descriptors.to_dense(net.descriptors[1].qz, 2)
+        assert np.array_equal(qx0, linalg.embed_one(linalg.X, 0, 2))
+        assert np.array_equal(qz1, linalg.embed_one(linalg.Z, 1, 2))
         assert np.array_equal(net.cumulative_unitary, linalg.identity(4))
         assert net.gate_log == ()
 
@@ -86,34 +89,52 @@ class TestInitNetwork:
         assert descriptors.branch_measure(net, (0, 1)) == pytest.approx(0.0)
 
     def test_qubit_count_range(self):
-        for bad in (0, -3, 12, 13):
+        for bad in (0, -3):
             with pytest.raises(ValueError):
                 descriptors.init_network(bad)
+        # Past MAX_QUBITS the engine still builds; the dense audit route refuses.
+        for wide in (12, 13):
+            net = descriptors.init_network(wide)
+            assert descriptors.branch_measure(net, (wide - 1, 0)) == 1.0
+            with pytest.raises(ValueError, match="dense audit route"):
+                descriptors.to_dense(net.descriptors[0].qx, wide)
+            with pytest.raises(ValueError, match="dense audit route"):
+                descriptors.embedded_gate(GateSpec.x(0), wide)
+            with pytest.raises(ValueError, match="dense audit route"):
+                net.cumulative_unitary
+            with pytest.raises(ValueError, match="dense audit route"):
+                descriptors.recomputed_components(net, 0)
 
     def test_descriptor_arrays_are_read_only(self):
         net = descriptors.init_network(1)
-        with pytest.raises(ValueError):
-            net.descriptors[0].qx[0, 0] = 9.0
+        with pytest.raises(TypeError):
+            net.descriptors[0].qx[(0, 0)] = 9.0
+
+
+def dense_qy(net, qubit):
+    """The third component i qx qz, from the dense forms of the stored pair."""
+    d = net.descriptors[qubit]
+    return 1j * descriptors.to_dense(d.qx, net.n) @ descriptors.to_dense(d.qz, net.n)
 
 
 class TestQyDerived:
     def test_fresh_qy_is_embedded_y(self):
         net = descriptors.init_network(2)
-        assert np.allclose(net.descriptors[1].qy(), linalg.embed_one(linalg.Y, 1, 2))
+        assert np.allclose(dense_qy(net, 1), linalg.embed_one(linalg.Y, 1, 2))
 
     def test_hadamard_flips_qy_sign(self):
         # H Y H = -Y.
         net = descriptors.apply_gate(descriptors.init_network(1), GateSpec.h(0))
-        assert np.allclose(net.descriptors[0].qy(), -linalg.Y, atol=1e-12)
+        assert np.allclose(dense_qy(net, 0), -linalg.Y, atol=1e-12)
 
 
 class TestApplyGate:
     def test_returns_new_network_and_keeps_original(self):
         net = descriptors.init_network(2)
-        before = net.descriptors[0].qx.copy()
+        before = dict(net.descriptors[0].qx)
         evolved = descriptors.apply_gate(net, GateSpec.h(0))
         assert evolved is not net
-        assert np.array_equal(net.descriptors[0].qx, before)
+        assert net.descriptors[0].qx == before
         assert evolved.gate_log == (GateSpec.h(0),)
 
     def test_untouched_descriptor_is_shared_object(self):
@@ -138,6 +159,31 @@ class TestApplyGate:
         for g in gates:
             expected = linalg.matmul(descriptors.embedded_gate(g, 2), expected)
         assert np.allclose(net.cumulative_unitary, expected, atol=1e-12)
+
+
+class TestPauliSums:
+    def test_engine_path_makes_no_dense_call(self, monkeypatch):
+        p = game.default_protocol()
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense linalg call on the engine path")
+
+        for name in ("matmul", "tensor", "embed_one"):
+            monkeypatch.setattr(linalg, name, dense)
+        for q in QUESTION_PAIRS:
+            assert game.branch_tree(p, q).win_measure() == pytest.approx(
+                game.QUANTUM_WIN_RATE, abs=1e-12
+            )
+        assert game.redundancy_demo(10) == 0.0
+
+    def test_term_cap_fails_fast(self, monkeypatch):
+        monkeypatch.setattr(descriptors, "MAX_TERMS", 3)
+        net = descriptors.apply_circuit(
+            descriptors.init_network(2), [GateSpec.roty(0.3, 0), GateSpec.roty(0.5, 1)]
+        )
+        # Each qx is now two strings; the CNOT's product has four.
+        with pytest.raises(ValueError, match="exceeds the term cap 3"):
+            descriptors.apply_gate(net, GateSpec.cnot(0, 1))
 
 
 class TestBranchMeasure:
@@ -246,8 +292,8 @@ class TestLocality:
         )
         for qubit in (0, 1):
             qx, qz = descriptors.recomputed_components(net, qubit)
-            assert np.allclose(qx, net.descriptors[qubit].qx, atol=1e-10)
-            assert np.allclose(qz, net.descriptors[qubit].qz, atol=1e-10)
+            assert np.allclose(qx, descriptors.to_dense(net.descriptors[qubit].qx, 2), atol=1e-10)
+            assert np.allclose(qz, descriptors.to_dense(net.descriptors[qubit].qz, 2), atol=1e-10)
 
 
 @st.composite
@@ -285,9 +331,11 @@ def test_random_circuit_invariants(circuit):
         assert p0 + p1 == pytest.approx(1.0, abs=1e-10)
         # The local update rule agrees with dense conjugation by the rebuilt U.
         qx, qz = descriptors.recomputed_components(net, qubit)
-        assert linalg.frobenius_distance(qx, net.descriptors[qubit].qx) <= 1e-10
-        assert linalg.frobenius_distance(qz, net.descriptors[qubit].qz) <= 1e-10
+        d = net.descriptors[qubit]
+        assert linalg.frobenius_distance(qx, descriptors.to_dense(d.qx, n)) <= 1e-10
+        assert linalg.frobenius_distance(qz, descriptors.to_dense(d.qz, n)) <= 1e-10
     # Descriptors square to the identity: they are conjugated Paulis.
     d = net.descriptors[0]
-    assert np.allclose(linalg.matmul(d.qx, d.qx), linalg.identity(2**n), atol=1e-10)
-    assert np.allclose(linalg.matmul(d.qz, d.qz), linalg.identity(2**n), atol=1e-10)
+    qx, qz = descriptors.to_dense(d.qx, n), descriptors.to_dense(d.qz, n)
+    assert np.allclose(linalg.matmul(qx, qx), linalg.identity(2**n), atol=1e-10)
+    assert np.allclose(linalg.matmul(qz, qz), linalg.identity(2**n), atol=1e-10)

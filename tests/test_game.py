@@ -190,8 +190,10 @@ class TestRoundNetwork:
                 descriptors.init_network(2), prep + [rot_b, rot_a]
             )
             for d, d_swapped in zip(net.descriptors, swapped.descriptors):
-                assert np.array_equal(d.qx, d_swapped.qx)
-                assert np.array_equal(d.qz, d_swapped.qz)
+                for c, c_swapped in ((d.qx, d_swapped.qx), (d.qz, d_swapped.qz)):
+                    assert np.array_equal(
+                        descriptors.to_dense(c, 2), descriptors.to_dense(c_swapped, 2)
+                    )
 
     def test_no_cross_qubit_gate_after_prep(self):
         net = game.build_round_network(game.default_protocol(), QuestionPair(1, 0))

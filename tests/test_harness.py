@@ -5,6 +5,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chsh_local import game, harness
@@ -71,10 +72,26 @@ class TestConfigValidation:
         cfg = TournamentConfig(rounds=10, mode="classical", strategy=[0, 1, 1, 0])
         assert cfg.strategy == DeterministicStrategy(0, 1, 1, 0)
 
-    @pytest.mark.parametrize("weights", [5, "1/16", None, {"a": 1}])
+    @pytest.mark.parametrize(
+        "weights",
+        [5, "1/16", None, {"a": 1}, [None] * 16, [math.nan] * 16, [math.inf] + [0] * 15,
+         ["x"] * 16, ["1/0"] * 16, [True] + [0] * 15, [object()] * 16],
+    )
     def test_weights_must_be_a_sequence(self, weights):
         with pytest.raises(ValueError, match="weights must be a list of 16"):
             TournamentConfig(rounds=10, mode="mixed", weights=weights)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [({"geometry": {"d": 1}}, "geometry must be a Geometry"),
+         ({"geometry": None}, "geometry must be a Geometry"),
+         ({"protocol": "x"}, "protocol must be a QuantumProtocol"),
+         ({"mode": "classical", "strategy": ALL_ZERO, "protocol": 1.0},
+          "protocol must be a QuantumProtocol")],
+    )
+    def test_geometry_and_protocol_must_have_their_types(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            TournamentConfig(**{"rounds": 10, "mode": "quantum", **overrides})
 
     def test_quantum_defaults_to_canonical_protocol(self):
         cfg = TournamentConfig(rounds=10, mode="quantum")
@@ -166,6 +183,20 @@ class TestMixedTournament:
         _, records = harness.play_rounds(cfg)
         for r in records:
             assert (r.aa, r.ab) == ALL_ZERO.answers(QuestionPair(r.qa, r.qb))
+
+    def test_uniform_above_a_short_cumsum_takes_the_last_outcome(self, monkeypatch):
+        # Seven weights of 1/7 have a float cumsum of 1 - 2**-52, below this
+        # uniform; the pinned last edge keeps such a round on its own pair.
+        weights = [Fraction(0)] * 9 + [Fraction(1, 7)] * 7
+        top = 1.0 - 2.0**-53
+        draws = np.array([[0.0, 0.0, top], [0.9, 0.9, top]])
+        monkeypatch.setattr(harness, "_round_uniforms", lambda seed, ids: draws[: len(ids)])
+        cfg = TournamentConfig(rounds=2, mode="mixed", weights=weights)
+        _, records = harness.play_rounds(cfg)
+        last = game.all_strategies()[-1]
+        assert [(r.qa, r.qb, r.aa, r.ab) for r in records] == [
+            (q.qa, q.qb, *last.answers(q)) for q in (QuestionPair(0, 0), QuestionPair(1, 1))
+        ]
 
 
 class TestQuantumTournament:
