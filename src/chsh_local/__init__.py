@@ -53,6 +53,7 @@ from .game import (
 from .harness import (
     Geometry,
     RoundRecord,
+    RoundTable,
     TournamentConfig,
     TournamentReport,
     play_rounds,
@@ -87,6 +88,7 @@ __all__ = [
     "QuantumProtocol",
     "QuestionPair",
     "RoundRecord",
+    "RoundTable",
     "StateVector",
     "TournamentConfig",
     "TournamentReport",

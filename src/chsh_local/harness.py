@@ -11,6 +11,13 @@ keeps the sampled questions but sums each pair's winning probabilities
 instead (win counts are then expected values rounded to the nearest
 integer, and the report says so).
 
+A played tournament is a :class:`RoundTable`: one outcome code per round,
+`pair * width + choice`, indexing a short table of record rows.  Rounds stay
+codes from the draw to the CSV and back; a :class:`RoundRecord` is built
+only when a caller indexes or iterates the table.  The CSV is written from
+one prebuilt text per code, and read back with one check per distinct
+row text.
+
 The geometry audit is bookkeeping, not transport simulation: it checks that
 the stations' answer window closes before light could carry a message
 between them, which is the whole point of the layout.
@@ -21,10 +28,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -161,6 +169,45 @@ class RoundRecord:
     leaf_measure: float
 
 
+class RoundTable(Sequence):
+    """Played rounds as outcome codes: round i is `RoundRecord(i, *rows[codes[i]])`.
+
+    `codes` is one unsigned integer array and `rows` holds the
+    `(qa, qb, aa, ab, win, leaf_measure)` tuples the codes index.  The codes
+    are `np.uint8` for every table :func:`play_rounds` returns, and for every
+    file :func:`write_report` writes and :func:`read_round_table` reads back;
+    a table read from a file with more distinct rows gets a wider type.
+    Records are built on indexing and iteration and share the rows' float
+    objects.  A table compares equal, element by element, to any sequence
+    of the same records, so `table == []` holds for an empty one.
+    """
+
+    __slots__ = ("codes", "rows")
+
+    def __init__(self, codes: np.ndarray, rows: Sequence[tuple]):
+        self.codes = codes
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index: int) -> RoundRecord:
+        index, n = operator.index(index), len(self.codes)
+        round_id = index + n if index < 0 else index
+        if not 0 <= round_id < n:
+            raise IndexError(f"round {index} out of range for a table of {n} rounds")
+        return RoundRecord(round_id, *self.rows[self.codes[round_id]])
+
+    def __iter__(self):
+        rows = self.rows
+        return (RoundRecord(i, *rows[c]) for i, c in enumerate(self.codes.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class PairStats:
     """Per-question-pair tallies; `rate` is None for a pair never asked."""
@@ -265,17 +312,19 @@ def _outcome_table(cfg: TournamentConfig) -> list[list[tuple]]:
     ]
 
 
-def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, list[RoundRecord]]:
-    """Run a tournament and return the report plus the per-round records.
+def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, RoundTable]:
+    """Run a tournament and return the report plus the per-round table.
 
     All rounds' draws are computed at once, `BLOCK_ROUNDS` round ids at a
     time, bit-identical to numpy's per-round `Philox` streams, so reports
     match a round-by-round loop byte for byte.  Both sampling modes read
     :func:`_outcome_table`.  A round asked `pair = 2*qa + qb` takes the
     outcome its third uniform falls in on the pair's cumulative
-    probabilities; code `pair * width + outcome` indexes its record row.
-    `exact_measure` keeps no records: a pair's rate is the sum of its
-    winning probabilities and its wins are rate x count, rounded.
+    probabilities; its code `pair * width + outcome` (below 4 * 16) is
+    stored as one byte and indexes the table's record rows, so no
+    per-round object is built.  `exact_measure` keeps no rounds and returns
+    an empty table: a pair's rate is the sum of its winning probabilities
+    and its wins are rate x count, rounded.
     """
     analytic = cfg.sampling == "exact_measure"
     isolated, _ = audit_geometry(cfg.geometry)
@@ -290,7 +339,7 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, list[RoundReco
         for _, aa, ab, measure in outcomes
     ]
     counts = np.zeros(4 * width, dtype=np.int64)
-    records: list[RoundRecord] = []
+    played = np.empty(0 if analytic else cfg.rounds, dtype=np.uint8)
     for start in range(0, cfg.rounds, BLOCK_ROUNDS):
         stop = min(start + BLOCK_ROUNDS, cfg.rounds)
         u = _round_uniforms(cfg.seed, np.arange(start, stop, dtype=np.uint64))
@@ -301,9 +350,7 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, list[RoundReco
             asked = pair == p
             codes[asked] += np.searchsorted(pair_edges, u[asked, 2], side="right")
         if not analytic:
-            records += [
-                RoundRecord(r, *rows[c]) for r, c in zip(range(start, stop), codes.tolist())
-            ]
+            played[start:stop] = codes
         counts += np.bincount(codes, minlength=counts.size)
 
     counts = counts.reshape(4, width)
@@ -333,14 +380,14 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, list[RoundReco
         analytic=analytic,
         isolation=isolated,
     )
-    return report, records
+    return report, RoundTable(played, rows)
 
 
 def run_tournament(cfg: TournamentConfig) -> TournamentReport:
     """Play a tournament; write report files when the config names a path."""
-    report, records = play_rounds(cfg)
+    report, rounds = play_rounds(cfg)
     if cfg.output_path is not None:
-        write_report(report, records, cfg.output_path)
+        write_report(report, rounds, cfg.output_path)
     return report
 
 
@@ -361,22 +408,24 @@ def audit_geometry(geometry: Geometry) -> tuple[bool, dict]:
     return isolated, report
 
 
-def write_report(report: TournamentReport, records: Sequence[RoundRecord], path: str) -> None:
+def write_report(report: TournamentReport, rounds: RoundTable, path: str) -> None:
     """Write `{path}.json` (summary) and `{path}.csv` (per-round table).
 
     The table format is fixed: the exact header, booleans as 0/1, measures
     with 9 decimals, and newline line endings, so identical runs produce
-    byte-identical files.
+    byte-identical files.  The text of a row after its round id is
+    formatted once per code of the table, not once per round.
     """
     with open(f"{path}.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    suffixes = [
+        f"{qa},{qb},{aa},{ab},{int(win)},{measure:.9f}\n"
+        for qa, qb, aa, ab, win, measure in rounds.rows
+    ]
     with open(f"{path}.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(ROUND_TABLE_HEADER + "\n")
-        for r in records:
-            fh.write(
-                f"{r.round_id},{r.qa},{r.qb},{r.aa},{r.ab},{int(r.win)},{r.leaf_measure:.9f}\n"
-            )
+        fh.writelines(f"{i},{suffixes[c]}" for i, c in enumerate(rounds.codes.tolist()))
 
 
 #: Every well-formed `(qa, qb, aa, ab, win)` field tuple of a table row: the
@@ -394,7 +443,7 @@ _ROW_FIELDS = {
 _PLAIN_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 
-def read_round_table(path: str) -> list[RoundRecord]:
+def read_round_table(path: str) -> RoundTable:
     """Read a per-round table back, re-checking every row.
 
     Round ids must count 0, 1, 2, ... in plain decimal as :func:`write_report`
@@ -403,43 +452,55 @@ def read_round_table(path: str) -> list[RoundRecord]:
     `leaf_measure` must be a plain decimal numeral (digits, then optionally
     a point and digits) in [0, 1]; a violation names `path:line` and the
     field.  The five bit fields are checked with one lookup in a table of the
-    32 well-formed tuples.
+    32 well-formed tuples.  Every line's round id is compared with the
+    expected one; the rest of the line is checked once per distinct text,
+    which then becomes one code of the returned table.
     """
-    def bad(message: str) -> ValueError:
-        return ValueError(f"{path}:{line_no}: {message}")
+    codes_by_suffix: dict[str, int] = {}
+    rows: list[tuple] = []
 
-    records = []
-    measures: dict[str, float] = {}  # each distinct leaf_measure text, checked once
+    def checked_code(line: str, line_no: int) -> int:
+        """Check one row in full; a new valid row text gets the next code."""
+        def bad(message: str) -> ValueError:
+            return ValueError(f"{path}:{line_no}: {message}")
+
+        fields = line.rstrip("\n").split(",")
+        if len(fields) != 7:
+            raise bad(f"expected 7 fields, got {len(fields)}")
+        entry = _ROW_FIELDS.get(tuple(fields[1:6]))
+        if entry is None:
+            for name, value in zip(("qa", "qb", "aa", "ab", "win tag"), fields[1:6]):
+                if value not in ("0", "1"):
+                    raise bad(f"{name} must be 0 or 1, got {value!r}")
+        (qa, qb, aa, ab, win), agrees = entry
+        round_id = line_no - 2
+        if fields[0] != str(round_id):
+            if fields[0].isascii() and fields[0].isdigit():
+                raise bad(f"round_id {fields[0]}, expected {round_id}")
+            raise bad(f"round_id must be an integer, got {fields[0]!r}")
+        if _PLAIN_DECIMAL.fullmatch(fields[6]) is None:
+            raise bad(f"leaf_measure must be a number, got {fields[6]!r}")
+        leaf_measure = float(fields[6])
+        if leaf_measure > 1.0:
+            raise bad(f"leaf_measure {leaf_measure} is not in [0, 1]")
+        if not agrees:
+            raise bad(
+                f"win tag {fields[5]} contradicts the game rule "
+                f"for questions ({qa}, {qb}) and answers ({aa}, {ab})"
+            )
+        code = codes_by_suffix[line.partition(",")[2]] = len(rows)
+        rows.append((qa, qb, aa, ab, win, leaf_measure))
+        return code
+
+    codes = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != ROUND_TABLE_HEADER:
             raise ValueError(f"unexpected round-table header in {path}: {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split(",")
-            if len(fields) != 7:
-                raise bad(f"expected 7 fields, got {len(fields)}")
-            entry = _ROW_FIELDS.get(tuple(fields[1:6]))
-            if entry is None:
-                for name, value in zip(("qa", "qb", "aa", "ab", "win tag"), fields[1:6]):
-                    if value not in ("0", "1"):
-                        raise bad(f"{name} must be 0 or 1, got {value!r}")
-            (qa, qb, aa, ab, win), agrees = entry
-            round_id = len(records)
-            if fields[0] != str(round_id):
-                if fields[0].isascii() and fields[0].isdigit():
-                    raise bad(f"round_id {fields[0]}, expected {round_id}")
-                raise bad(f"round_id must be an integer, got {fields[0]!r}")
-            leaf_measure = measures.get(fields[6])
-            if leaf_measure is None:
-                if _PLAIN_DECIMAL.fullmatch(fields[6]) is None:
-                    raise bad(f"leaf_measure must be a number, got {fields[6]!r}")
-                leaf_measure = measures[fields[6]] = float(fields[6])
-                if leaf_measure > 1.0:
-                    raise bad(f"leaf_measure {leaf_measure} is not in [0, 1]")
-            if not agrees:
-                raise bad(
-                    f"win tag {fields[5]} contradicts the game rule "
-                    f"for questions ({qa}, {qb}) and answers ({aa}, {ab})"
-                )
-            records.append(RoundRecord(round_id, qa, qb, aa, ab, win, leaf_measure))
-    return records
+        for round_id, line in enumerate(fh):
+            text_id, _, suffix = line.partition(",")
+            code = codes_by_suffix.get(suffix)
+            if code is None or text_id != str(round_id):
+                code = checked_code(line, round_id + 2)
+            codes.append(code)
+    return RoundTable(np.array(codes, dtype=np.min_scalar_type(len(rows))), rows)

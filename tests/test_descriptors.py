@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chsh_local import descriptors, game, linalg, statevector
+from chsh_local import descriptors, game, linalg, statevector, verify
 from chsh_local.descriptors import GateSpec
 from chsh_local.game import QUESTION_PAIRS
 
@@ -104,6 +104,14 @@ class TestInitNetwork:
                 net.cumulative_unitary
             with pytest.raises(ValueError, match="dense audit route"):
                 descriptors.recomputed_components(net, 0)
+
+    def test_qubit_count_cap(self):
+        cap = descriptors.MAX_NETWORK_QUBITS
+        net = descriptors.init_network(cap)
+        assert net.n == len(net.descriptors) == cap
+        assert descriptors.branch_measure(net, (cap - 1, 0)) == 1.0
+        with pytest.raises(ValueError, match=f"qubit count {cap + 1} exceeds .*MAX_NETWORK_QUBITS"):
+            descriptors.init_network(cap + 1)
 
     def test_descriptor_arrays_are_read_only(self):
         net = descriptors.init_network(1)
@@ -339,3 +347,25 @@ def test_random_circuit_invariants(circuit):
     qx, qz = descriptors.to_dense(d.qx, n), descriptors.to_dense(d.qz, n)
     assert np.allclose(linalg.matmul(qx, qx), linalg.identity(2**n), atol=1e-10)
     assert np.allclose(linalg.matmul(qz, qz), linalg.identity(2**n), atol=1e-10)
+
+
+def full_fold_joint_measure(net, outcomes):
+    """Reference: every fold step forms the whole product M qz."""
+    m = {(0, 0): 1.0}
+    for qubit, outcome in outcomes:
+        sign = 1.0 if outcome == 0 else -1.0
+        m = descriptors._combine(
+            (0.5, m), (0.5 * sign, descriptors._product(m, net.descriptors[qubit].qz))
+        )
+    return descriptors._reference_expectation(m)
+
+
+def test_joint_measure_equals_the_full_fold_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        gates = verify.random_circuit(rng, n, int(rng.integers(1, 21)))
+        net = descriptors.apply_circuit(descriptors.init_network(n), gates)
+        qubits = rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
+        outcomes = [(q, int(rng.integers(2))) for q in qubits]
+        assert descriptors.joint_measure(net, outcomes) == full_fold_joint_measure(net, outcomes)

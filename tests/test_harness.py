@@ -1,19 +1,31 @@
 """Tests for the tournament harness, geometry audit, and report files."""
 
+import dataclasses
 import json
 import math
 import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chsh_local import game, harness
 from chsh_local.game import DeterministicStrategy, QuestionPair
-from chsh_local.harness import Geometry, TournamentConfig
+from chsh_local.harness import BLOCK_ROUNDS, Geometry, RoundRecord, RoundTable, TournamentConfig
 
 ALL_ZERO = DeterministicStrategy(0, 0, 0, 0)
 UNIFORM = tuple(Fraction(1, 16) for _ in range(16))
+
+#: One config per mode; the mixture is non-uniform with some zero weights.
+MODE_CONFIGS = {
+    "classical": dict(mode="classical", strategy=DeterministicStrategy(0, 1, 1, 0)),
+    "mixed": dict(mode="mixed", weights=tuple(
+        Fraction(w, 40) for w in (5, 0, 3, 1, 0, 7, 2, 2, 4, 0, 1, 6, 3, 2, 4, 0))),
+    "quantum": dict(mode="quantum"),
+}
 
 
 def classical_cfg(**overrides):
@@ -263,6 +275,124 @@ class TestDeterminism:
         _, rec1 = harness.play_rounds(classical_cfg(seed=1))
         _, rec2 = harness.play_rounds(classical_cfg(seed=2))
         assert [(r.qa, r.qb) for r in rec1] != [(r.qa, r.qb) for r in rec2]
+
+
+class TestRoundTable:
+    ROWS = [(0, 0, 0, 0, True, 1.0), (1, 1, 0, 1, True, 0.5), (1, 0, 1, 1, True, 0.25)]
+    CODES = [1, 0, 2, 1]
+
+    def table(self):
+        return RoundTable(np.array(self.CODES, dtype=np.uint8), self.ROWS)
+
+    def expected(self):
+        return [RoundRecord(i, *self.ROWS[c]) for i, c in enumerate(self.CODES)]
+
+    def test_length_and_indexing_from_either_end(self):
+        table, expected = self.table(), self.expected()
+        assert len(table) == 4
+        for i in range(-4, 4):
+            assert table[i] == expected[i]
+        assert table[-1].round_id == 3
+        assert table[np.int64(2)] == expected[2]
+
+    @pytest.mark.parametrize("index", [4, 5, -5, -100])
+    def test_index_past_either_end_raises(self, index):
+        with pytest.raises(IndexError):
+            self.table()[index]
+        with pytest.raises(IndexError):
+            RoundTable(np.empty(0, dtype=np.uint8), self.ROWS)[0]
+
+    def test_iteration_yields_records_in_round_order(self):
+        assert list(self.table()) == self.expected()
+        assert [r.round_id for r in self.table()] == [0, 1, 2, 3]
+
+    def test_equality_is_element_by_element_with_any_sequence(self):
+        table, expected = self.table(), self.expected()
+        assert table == expected and expected == table
+        assert table == tuple(expected)
+        assert table == self.table()
+        assert table != expected[:3]
+        changed = list(expected)
+        changed[2] = dataclasses.replace(changed[2], leaf_measure=0.5)
+        assert table != changed
+        empty = RoundTable(np.empty(0, dtype=np.uint8), self.ROWS)
+        assert empty == [] and [] == empty
+        assert empty != table
+        assert table != "abcd"
+
+    def test_records_share_at_most_sixteen_leaf_measure_objects(self, tmp_path):
+        report, played = harness.play_rounds(
+            TournamentConfig(rounds=3 * BLOCK_ROUNDS, mode="quantum", seed=21)
+        )
+        assert len({id(r.leaf_measure) for r in played}) <= 16
+        harness.write_report(report, played, str(tmp_path / "run"))
+        loaded = harness.read_round_table(str(tmp_path / "run.csv"))
+        assert loaded.codes.dtype == np.uint8
+        assert len({id(r.leaf_measure) for r in loaded}) <= 16
+
+
+def as_written(played):
+    """The played records with each leaf measure at the 9 decimals the CSV keeps."""
+    return [dataclasses.replace(r, leaf_measure=float(f"{r.leaf_measure:.9f}")) for r in played]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mode=st.sampled_from(sorted(MODE_CONFIGS)),
+    seed=st.integers(0, 2**64 - 1),
+    rounds=st.integers(1, 3 * BLOCK_ROUNDS),
+)
+def test_written_table_reads_back_as_played(mode, seed, rounds):
+    cfg = TournamentConfig(rounds=rounds, seed=seed, **MODE_CONFIGS[mode])
+    report, played = harness.play_rounds(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        harness.write_report(report, played, str(base / "run"))
+        loaded = harness.read_round_table(str(base / "run.csv"))
+        harness.write_report(report, loaded, str(base / "again"))
+        assert (base / "again.csv").read_bytes() == (base / "run.csv").read_bytes()
+    assert len(loaded) == rounds
+    assert loaded == as_written(played)
+
+
+#: Texts that make one field of a written row invalid wherever they land.
+BAD_FIELD_TEXTS = {
+    "round_id": ["x", "", "-1", "1.0", "0,0"],
+    "bit": ["2", "", "x", "-0", " 1", "00", "0,0"],
+    "win": ["2", "", "true", "0,0"],
+    "leaf_measure": ["", "x", "1.5", "-0.5", "nan", "1e0", "+1.0", "1.000000001", "0,0"],
+}
+FIELD_KINDS = ("round_id", "bit", "bit", "bit", "bit", "win", "leaf_measure")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(sorted(MODE_CONFIGS)),
+    seed=st.integers(0, 2**64 - 1),
+    rounds=st.integers(1, 3 * BLOCK_ROUNDS),
+    data=st.data(),
+)
+def test_a_corrupted_field_is_rejected_with_its_line(mode, seed, rounds, data):
+    cfg = TournamentConfig(rounds=rounds, seed=seed, **MODE_CONFIGS[mode])
+    report, played = harness.play_rounds(cfg)
+    row = data.draw(st.integers(0, rounds - 1), label="row")
+    field = data.draw(st.integers(0, 6), label="field")
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "run"
+        harness.write_report(report, played, str(base))
+        path = Path(f"{base}.csv")
+        lines = path.read_text(encoding="utf-8").split("\n")
+        fields = lines[row + 1].split(",")
+        bad = BAD_FIELD_TEXTS[FIELD_KINDS[field]]
+        if field == 0:
+            bad = bad + [str(row + 1), f"0{row}", f"+{row}", f" {row}"]
+        if field == 5:
+            bad = bad + ["1" if fields[5] == "0" else "0"]  # contradicts the game rule
+        fields[field] = data.draw(st.sampled_from(bad), label="text")
+        lines[row + 1] = ",".join(fields)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{row + 2}: ")):
+            harness.read_round_table(str(path))
 
 
 class TestReportFiles:
