@@ -10,7 +10,7 @@ Subcommands:
   are isolated.
 * `branch` prints the branch tree of one question pair.
 * `verify` runs the picture-equivalence and locality suites and exits 0
-  only when both pass.
+  only when both pass; a circuit count below 1 is a bad input.
 
 Exit codes: 0 success; 1 a failed check or a bad input (`error: ...`);
 2 a usage error; 3 a violated internal invariant, such as protocol drift

@@ -32,10 +32,13 @@ strings with no X bit.  The state-vector oracle in
 :mod:`chsh_local.statevector` is a second, independent route to every such
 number (the two share gate-matrix constants, no application code), and
 :mod:`chsh_local.verify` runs the audits.  Their dense route, capped at
-``MAX_QUBITS``, is :func:`embedded_gate`, the cumulative unitary rebuilt from
-the gate log, :func:`to_dense` and :func:`recomputed_components`, which
-conjugates the initial Paulis by that unitary and so shares nothing with the
-update rule.
+``MAX_QUBITS``, is the cumulative unitary rebuilt from the gate log,
+:func:`to_dense` and :func:`recomputed_components`, which conjugates the
+initial Paulis by that unitary and so shares nothing with the update rule.
+The rebuild applies each gate to the unitary's rows (a 2x2 mix of row
+pairs, or a row permutation for CNOT) and forms no embedded gate matrix;
+:func:`embedded_gate` builds those by Kronecker products as the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -148,6 +151,15 @@ class Descriptor:
     qx: PauliSum
     qz: PauliSum
 
+    def __reduce__(self):
+        # A MappingProxyType cannot be pickled or deep-copied: send plain
+        # dicts and freeze them again on the way back.
+        return _frozen_descriptor, (self.qubit_id, dict(self.qx), dict(self.qz))
+
+
+def _frozen_descriptor(qubit_id: int, qx: dict, qz: dict) -> Descriptor:
+    return Descriptor(qubit_id, MappingProxyType(qx), MappingProxyType(qz))
+
 
 @dataclass(frozen=True)
 class DescriptorNetwork:
@@ -166,15 +178,28 @@ class DescriptorNetwork:
 
     @property
     def cumulative_unitary(self) -> np.ndarray:
-        """Audit-only product of the embedded gates of `gate_log`, latest on the left.
+        """Audit-only product of the gates of `gate_log`, latest on the left.
 
-        Rebuilt densely on every read (one matmul per logged gate), so it
-        costs nothing on the gate-application path.
+        Rebuilt densely on every read, so it costs nothing on the
+        gate-application path.  Each gate acts on the rows of U, O(4**n)
+        per gate, not by a matmul with its embedded matrix: a single-qubit
+        gate u on qubit k mixes the row pairs that differ in bit n-1-k (u
+        along axis 1 of U reshaped to (2**k, 2, -1)), and CNOT(c, t) flips
+        bit n-1-t of the rows whose bit n-1-c is set.
         """
-        _check_dense(self.n)
-        unitary = linalg.identity(2**self.n)
+        n = self.n
+        _check_dense(n)
+        dim = 2**n
+        rows = np.arange(dim)
+        unitary = linalg.identity(dim)
         for g in self.gate_log:
-            unitary = linalg.matmul(embedded_gate(g, self.n), unitary)
+            g.validate_for(n)
+            if g.name == "CNOT":
+                c, t = g.targets
+                unitary = unitary[rows ^ (((rows >> (n - 1 - c)) & 1) << (n - 1 - t))]
+            else:
+                u = linalg.single_qubit_gate(g.name, g.theta)
+                unitary = (u @ unitary.reshape(2 ** g.targets[0], 2, -1)).reshape(dim, dim)
         return unitary
 
 
@@ -184,7 +209,11 @@ def _check_dense(n: int) -> None:
 
 
 def embedded_gate(g: GateSpec, n: int) -> np.ndarray:
-    """Full 2**n matrix of a gate at its target slots (audit route only)."""
+    """Full 2**n matrix of a gate at its target slots, built by Kronecker products.
+
+    The reference that tests compare the audit route's row updates against;
+    no program path calls it.
+    """
     _check_dense(n)
     g.validate_for(n)
     if g.name == "CNOT":
@@ -384,13 +413,20 @@ def conditional_measure(net: DescriptorNetwork, given, then) -> float:
 
 
 def recomputed_components(net: DescriptorNetwork, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Audit route: (qx, qz) of a qubit as dagger(U) P U, U rebuilt from the gate log."""
+    """Audit route: (qx, qz) of a qubit as dagger(U) P U, U rebuilt from the gate log.
+
+    X_k U is U with the rows that differ in bit n-1-k swapped, and Z_k U is U
+    with the rows whose bit n-1-k is set negated; one product by dagger(U)
+    each.
+    """
     if not 0 <= qubit < net.n:
         raise ValueError(f"qubit {qubit} out of range for n={net.n}")
     u = net.cumulative_unitary
     ud = linalg.dagger(u)
-    qx = linalg.matmul(ud, linalg.matmul(linalg.embed_one(linalg.X, qubit, net.n), u))
-    qz = linalg.matmul(ud, linalg.matmul(linalg.embed_one(linalg.Z, qubit, net.n), u))
+    rows = np.arange(2**net.n)
+    bit = 1 << (net.n - 1 - qubit)
+    qx = ud @ u[rows ^ bit]
+    qz = ud @ (np.where(rows & bit, -1.0, 1.0)[:, None] * u)
     return qx, qz
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import descriptors, statevector
 from .descriptors import GateSpec
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, MAX_QUBITS
 
 #: Joint-measure agreement tolerance between the two pictures.
 EQUIVALENCE_TOL = 1e-9
@@ -38,6 +38,16 @@ class SuiteResult(NamedTuple):
     failures: int
     max_deviation: float
     detail: str
+
+
+def _check_suite_size(n_circuits: int, max_qubits: int, max_depth: int, min_qubits: int) -> None:
+    """Reject a suite size that would check nothing or leave the dense routes' range."""
+    if n_circuits < 1:
+        raise ValueError(f"n_circuits must be >= 1, got {n_circuits}")
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    if not min_qubits <= max_qubits <= MAX_QUBITS:
+        raise ValueError(f"max_qubits must be in [{min_qubits}, {MAX_QUBITS}], got {max_qubits}")
 
 
 def random_circuit(
@@ -85,7 +95,10 @@ def picture_equivalence_suite(
     `tol` is a failure.  Every multi-qubit record is also evaluated by the
     engine in reversed order, and a change beyond the default tolerance is
     a failure as well: the order independence of commuting projectors.
+    `n_circuits` and `max_depth` must be at least 1 and `max_qubits` in
+    [1, MAX_QUBITS]; anything else is a ValueError.
     """
+    _check_suite_size(n_circuits, max_qubits, max_depth, min_qubits=1)
     rng = np.random.default_rng(seed)
     failures = 0
     checked = 0
@@ -140,8 +153,12 @@ def locality_suite(
     Each trial preludes with gates anywhere (so the watched descriptor is
     generally nontrivial), then audits a circuit that avoids the watched
     qubit: its stored sums must come back exactly unchanged and must
-    match recomputation from the cumulative unitary.
+    match recomputation from the cumulative unitary.  `n_circuits` and
+    `max_depth` must be at least 1 and `max_qubits` in [2, MAX_QUBITS]
+    (a remote circuit needs a qubit besides the watched one); anything else
+    is a ValueError.
     """
+    _check_suite_size(n_circuits, max_qubits, max_depth, min_qubits=2)
     rng = np.random.default_rng(seed)
     failures = 0
     for _ in range(n_circuits):

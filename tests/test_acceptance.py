@@ -125,7 +125,12 @@ def test_criterion_06_locality_suite():
     t0 = time.perf_counter()
     result = verify.locality_suite(n_circuits=500, max_qubits=4, max_depth=20)
     elapsed = time.perf_counter() - t0
-    ok = result.passed and result.checked == 500 and elapsed < 60.0
+    ok = (
+        result.passed
+        and result.checked == 500
+        and result.detail == "500 remote circuits audited, 0 locality violations"
+        and elapsed < 60.0
+    )
     _criterion(6, ok, result.detail, elapsed)
 
 
@@ -135,7 +140,15 @@ def test_criterion_07_picture_equivalence():
         n_circuits=1000, max_qubits=4, max_depth=20, tol=1e-9
     )
     elapsed = time.perf_counter() - t0
-    ok = result.passed and result.max_deviation <= 1e-9 and elapsed < 120.0
+    ok = (
+        result.passed
+        and result.max_deviation <= 1e-9
+        and result.detail == (
+            "12248 joint measures across 1000 circuits, "
+            "max deviation 1.554e-15, 0 order failures"
+        )
+        and elapsed < 120.0
+    )
     _criterion(7, ok, result.detail, elapsed)
 
 

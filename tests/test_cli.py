@@ -238,6 +238,20 @@ class TestVerify:
         assert out.count("PASS") == 2
         assert "0 order failures" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--circuits", "-5"), "n_circuits must be >= 1, got -5"),
+            (("--circuits", "0"), "n_circuits must be >= 1, got 0"),
+            (("--circuits", "5", "--locality-circuits", "0"), "n_circuits must be >= 1, got 0"),
+        ],
+    )
+    def test_empty_suites_are_an_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        assert "PASS (0 " not in out
+        assert err == f"error: {message}\n"
+
 
 class TestInvariantViolation:
     def test_runtime_error_is_named_with_its_own_exit_code(self, capsys, monkeypatch):

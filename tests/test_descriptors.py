@@ -1,5 +1,8 @@
 """Tests for the Heisenberg-picture descriptor engine."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +121,24 @@ class TestInitNetwork:
         with pytest.raises(TypeError):
             net.descriptors[0].qx[(0, 0)] = 9.0
 
+    @pytest.mark.parametrize(
+        "round_trip", [lambda net: pickle.loads(pickle.dumps(net)), copy.deepcopy]
+    )
+    def test_pickle_and_deepcopy_round_trip(self, round_trip):
+        gates = [GateSpec.h(0), GateSpec.roty(0.7, 1), GateSpec.cnot(0, 1), GateSpec.roty(-1.1, 2)]
+        net = descriptors.apply_circuit(descriptors.init_network(3), gates)
+        assert len(net.descriptors[1].qz) > 1  # non-Clifford: several strings
+        copied = round_trip(net)
+        assert copied == net
+        assert copied.gate_log == net.gate_log
+        for d in copied.descriptors:
+            for component in (d.qx, d.qz):
+                with pytest.raises(TypeError):
+                    component[(0, 0)] = 9.0
+        assert descriptors.apply_gate(copied, GateSpec.h(2)) == descriptors.apply_gate(
+            net, GateSpec.h(2)
+        )
+
 
 def dense_qy(net, qubit):
     """The third component i qx qz, from the dense forms of the stored pair."""
@@ -167,6 +188,49 @@ class TestApplyGate:
         for g in gates:
             expected = linalg.matmul(descriptors.embedded_gate(g, 2), expected)
         assert np.allclose(net.cumulative_unitary, expected, atol=1e-12)
+
+
+def kronecker_unitary(net):
+    """Reference: the left product of the gates' Kronecker-embedded matrices."""
+    unitary = linalg.identity(2**net.n)
+    for g in net.gate_log:
+        unitary = linalg.matmul(descriptors.embedded_gate(g, net.n), unitary)
+    return unitary
+
+
+class TestAuditRoute:
+    def test_row_updates_match_the_kronecker_reference(self):
+        rng = np.random.default_rng(20261018)
+        seen = set()
+        for n in range(1, 6):
+            # Every gate type on every qubit, and CNOT in both directions.
+            fixed = [GateSpec(name, (k,)) for name in ("X", "Y", "Z", "H") for k in range(n)]
+            fixed += [GateSpec.roty(0.3 + k, k) for k in range(n)]
+            fixed += [GateSpec.cnot(c, t) for c in range(n) for t in range(n) if c != t]
+            for _ in range(6):
+                gates = verify.random_circuit(rng, n, int(rng.integers(1, 21)))
+                gates += [fixed[i] for i in rng.permutation(len(fixed))]
+                seen.update((g.name, g.targets[0] < g.targets[-1]) for g in gates)
+                net = descriptors.apply_circuit(descriptors.init_network(n), gates)
+                reference = kronecker_unitary(net)
+                assert np.allclose(net.cumulative_unitary, reference, atol=1e-12)
+                reference_dagger = linalg.dagger(reference)
+                for k in range(n):
+                    qx, qz = descriptors.recomputed_components(net, k)
+                    for got, pauli in ((qx, linalg.X), (qz, linalg.Z)):
+                        expected = reference_dagger @ linalg.embed_one(pauli, k, n) @ reference
+                        assert np.allclose(got, expected, atol=1e-12)
+        assert {("CNOT", True), ("CNOT", False)} <= seen
+        assert {name for name, _ in seen} == set(descriptors.GATE_NAMES)
+
+    def test_out_of_range_logged_gate_is_rejected(self):
+        net = descriptors.DescriptorNetwork(
+            n=2,
+            descriptors=descriptors.init_network(2).descriptors,
+            gate_log=(GateSpec.cnot(0, 2),),
+        )
+        with pytest.raises(ValueError, match="out of range for n=2"):
+            net.cumulative_unitary
 
 
 class TestPauliSums:

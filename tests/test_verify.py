@@ -1,7 +1,12 @@
-"""Tests for the verification suites' own failure detection."""
+"""Tests for the verification suites' own failure detection and inputs."""
+
+import dataclasses
+from types import MappingProxyType
+
+import pytest
 
 from chsh_local import descriptors, verify
-from chsh_local.linalg import DEFAULT_TOL
+from chsh_local.linalg import DEFAULT_TOL, MAX_QUBITS
 
 
 def test_equivalence_suite_catches_order_dependent_joint_measures(monkeypatch):
@@ -26,3 +31,68 @@ def test_equivalence_suite_catches_order_dependent_joint_measures(monkeypatch):
     assert result.max_deviation <= verify.EQUIVALENCE_TOL
     assert "reversed order changed circuit" in result.detail
     assert f"{result.failures} order failures" in result.detail
+
+
+def test_locality_suite_catches_a_dropped_logged_gate(monkeypatch):
+    # The stored descriptors stay right, so only the dense recomputation
+    # can catch a cumulative unitary that forgets the first logged gate.
+    # (Forgetting the last one would go unseen: a remote gate commutes with
+    # the watched qubit's Paulis.)
+    exact = descriptors.DescriptorNetwork.cumulative_unitary
+
+    def drop_first(net):
+        return exact.fget(dataclasses.replace(net, gate_log=net.gate_log[1:]))
+
+    monkeypatch.setattr(descriptors.DescriptorNetwork, "cumulative_unitary", property(drop_first))
+    result = verify.locality_suite(n_circuits=50)
+    assert not result.passed
+    assert result.failures > 0
+    assert f"{result.failures} locality violations" in result.detail
+
+
+def test_locality_suite_catches_a_rewritten_non_target(monkeypatch):
+    # Every gate nudges one coefficient of each non-target qz by 1e-14.  At
+    # most 40 gates per trial keep the dense drift far below DEFAULT_TOL, so
+    # only the exact after == before check can catch the rewrite.
+    nudge = 1e-14
+    assert 40 * nudge * 2**2 < DEFAULT_TOL  # sqrt(2**4) scales a one-string drift
+    exact = descriptors.apply_gate
+
+    def leaky(net, g):
+        out = exact(net, g)
+        rewritten = []
+        for k, d in enumerate(out.descriptors):
+            if k not in g.targets:
+                key = next(iter(d.qz))
+                qz = MappingProxyType({**d.qz, key: d.qz[key] + nudge})
+                d = descriptors.Descriptor(k, d.qx, qz)
+            rewritten.append(d)
+        return dataclasses.replace(out, descriptors=tuple(rewritten))
+
+    monkeypatch.setattr(descriptors, "apply_gate", leaky)
+    result = verify.locality_suite(n_circuits=50)
+    assert not result.passed
+    assert result.failures == 50  # every trial has at least one remote gate
+    assert "50 locality violations" in result.detail
+
+
+@pytest.mark.parametrize("suite", [verify.picture_equivalence_suite, verify.locality_suite])
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_circuits": 0}, "n_circuits must be >= 1, got 0"),
+        ({"n_circuits": -5}, "n_circuits must be >= 1, got -5"),
+        ({"max_depth": 0}, "max_depth must be >= 1, got 0"),
+        ({"max_qubits": MAX_QUBITS + 1}, rf"\[\d, {MAX_QUBITS}\], got {MAX_QUBITS + 1}"),
+        ({"max_qubits": 0}, rf"max_qubits must be in \[\d, {MAX_QUBITS}\], got 0"),
+    ],
+)
+def test_suites_reject_sizes_that_check_nothing(suite, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        suite(**kwargs)
+
+
+def test_locality_suite_needs_two_qubits():
+    with pytest.raises(ValueError, match=rf"max_qubits must be in \[2, {MAX_QUBITS}\], got 1"):
+        verify.locality_suite(max_qubits=1)
+    assert verify.picture_equivalence_suite(n_circuits=3, max_qubits=1).passed
