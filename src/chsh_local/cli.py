@@ -159,6 +159,9 @@ def _cmd_branch(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # Both counts are checked before either suite runs, so a bad one prints no result.
+    for n_circuits in (args.circuits, args.locality_circuits):
+        verify.check_circuit_count(n_circuits)
     equivalence = verify.picture_equivalence_suite(n_circuits=args.circuits)
     print(f"picture equivalence: {'PASS' if equivalence.passed else 'FAIL'} ({equivalence.detail})")
     locality = verify.locality_suite(n_circuits=args.locality_circuits)

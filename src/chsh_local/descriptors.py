@@ -31,14 +31,14 @@ history, the expectation of a projector in the reference state.  As
 strings with no X bit.  The state-vector oracle in
 :mod:`chsh_local.statevector` is a second, independent route to every such
 number (the two share gate-matrix constants, no application code), and
-:mod:`chsh_local.verify` runs the audits.  Their dense route, capped at
-``MAX_QUBITS``, is the cumulative unitary rebuilt from the gate log,
-:func:`to_dense` and :func:`recomputed_components`, which conjugates the
-initial Paulis by that unitary and so shares nothing with the update rule.
-The rebuild applies each gate to the unitary's rows (a 2x2 mix of row
-pairs, or a row permutation for CNOT) and forms no embedded gate matrix;
-:func:`embedded_gate` builds those by Kronecker products as the tests'
-reference.
+:mod:`chsh_local.verify` runs the audits.  A network holds only its
+descriptors, so the audits' dense route, capped at ``MAX_QUBITS``, takes the
+circuit it audits as an argument.  :func:`cumulative_unitary` applies each
+gate to the unitary's rows (a 2x2 mix of row pairs, or a row permutation
+for CNOT), and :func:`recomputed_components` conjugates the initial Paulis
+by it, sharing nothing with the update rule.  No embedded gate matrix is
+formed; :func:`embedded_gate` builds those by Kronecker products as the
+tests' reference.
 """
 
 from __future__ import annotations
@@ -142,6 +142,16 @@ class OutcomeSpec(NamedTuple):
     qubit: int
     outcome: int
 
+    @classmethod
+    def checked(cls, o, n: int) -> "OutcomeSpec":
+        """A (qubit, outcome) pair as an OutcomeSpec, checked against an n-qubit register."""
+        qubit, outcome = o
+        if not 0 <= qubit < n:
+            raise ValueError(f"qubit {qubit} out of range for n={n}")
+        if outcome not in (0, 1):
+            raise ValueError(f"outcome must be 0 or 1, got {outcome}")
+        return cls(int(qubit), int(outcome))
+
 
 @dataclass(frozen=True)
 class Descriptor:
@@ -163,44 +173,40 @@ def _frozen_descriptor(qubit_id: int, qx: dict, qz: dict) -> Descriptor:
 
 @dataclass(frozen=True)
 class DescriptorNetwork:
-    """Ordered descriptors of an n-qubit register plus an audit trail.
+    """Ordered descriptors of an n-qubit register, and nothing else.
 
-    The per-qubit truth lives in the descriptors; gate application and the
-    measures read only those.  The gate log is the audit trail: the
-    cumulative unitary is rebuilt from it on each read, for audits only.
-    Networks are values: gate application returns a new network and never
-    mutates a sum, so distinct networks may evolve in parallel freely.
+    The descriptors are the whole state: gate application and the measures
+    read only them, and equal descriptors make equal networks whatever
+    circuits built them.  Networks are values: gate application returns a
+    new network and never mutates a sum, so networks may evolve in parallel.
     """
 
     n: int
     descriptors: tuple[Descriptor, ...]
-    gate_log: tuple[GateSpec, ...] = ()
 
-    @property
-    def cumulative_unitary(self) -> np.ndarray:
-        """Audit-only product of the gates of `gate_log`, latest on the left.
 
-        Rebuilt densely on every read, so it costs nothing on the
-        gate-application path.  Each gate acts on the rows of U, O(4**n)
-        per gate, not by a matmul with its embedded matrix: a single-qubit
-        gate u on qubit k mixes the row pairs that differ in bit n-1-k (u
-        along axis 1 of U reshaped to (2**k, 2, -1)), and CNOT(c, t) flips
-        bit n-1-t of the rows whose bit n-1-c is set.
-        """
-        n = self.n
-        _check_dense(n)
-        dim = 2**n
-        rows = np.arange(dim)
-        unitary = linalg.identity(dim)
-        for g in self.gate_log:
-            g.validate_for(n)
-            if g.name == "CNOT":
-                c, t = g.targets
-                unitary = unitary[rows ^ (((rows >> (n - 1 - c)) & 1) << (n - 1 - t))]
-            else:
-                u = linalg.single_qubit_gate(g.name, g.theta)
-                unitary = (u @ unitary.reshape(2 ** g.targets[0], 2, -1)).reshape(dim, dim)
-        return unitary
+def cumulative_unitary(n: int, gates: Iterable[GateSpec]) -> np.ndarray:
+    """Audit-only dense unitary of an n-qubit circuit, latest gate on the left.
+
+    Each gate acts on the rows of U, O(4**n) per gate, not by a matmul with
+    its embedded matrix: a single-qubit gate u on qubit k mixes the row
+    pairs that differ in bit n-1-k (u along axis 1 of U reshaped to
+    (2**k, 2, -1)), and CNOT(c, t) flips bit n-1-t of the rows whose bit
+    n-1-c is set.
+    """
+    _check_dense(n)
+    dim = 2**n
+    rows = np.arange(dim)
+    unitary = linalg.identity(dim)
+    for g in gates:
+        g.validate_for(n)
+        if g.name == "CNOT":
+            c, t = g.targets
+            unitary = unitary[rows ^ (((rows >> (n - 1 - c)) & 1) << (n - 1 - t))]
+        else:
+            u = linalg.single_qubit_gate(g.name, g.theta)
+            unitary = (u @ unitary.reshape(2 ** g.targets[0], 2, -1)).reshape(dim, dim)
+    return unitary
 
 
 def _check_dense(n: int) -> None:
@@ -333,7 +339,7 @@ def apply_gate(net: DescriptorNetwork, g: GateSpec) -> DescriptorNetwork:
         qx, qz = _single_qubit_update(g, d.qx, d.qz)
         updated = {k: Descriptor(qubit_id=k, qx=qx, qz=qz)}
     descriptors = tuple(updated.get(k, d) for k, d in enumerate(net.descriptors))
-    return DescriptorNetwork(n=net.n, descriptors=descriptors, gate_log=net.gate_log + (g,))
+    return DescriptorNetwork(n=net.n, descriptors=descriptors)
 
 
 def apply_circuit(net: DescriptorNetwork, gates: Iterable[GateSpec]) -> DescriptorNetwork:
@@ -343,22 +349,13 @@ def apply_circuit(net: DescriptorNetwork, gates: Iterable[GateSpec]) -> Descript
     return net
 
 
-def _check_outcome(net: DescriptorNetwork, o) -> OutcomeSpec:
-    qubit, outcome = o
-    if not 0 <= qubit < net.n:
-        raise ValueError(f"qubit {qubit} out of range for n={net.n}")
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    return OutcomeSpec(int(qubit), int(outcome))
-
-
 def branch_measure(net: DescriptorNetwork, o) -> float:
     """Measure of the history where qubit's z-readout shows `outcome`.
 
     Reads <0...0| (I + (-1)**outcome qz) / 2 |0...0> from qz's strings
     with no X bit.  Measures of the two outcomes of any qubit sum to 1.
     """
-    o = _check_outcome(net, o)
+    o = OutcomeSpec.checked(o, net.n)
     sign = 1.0 if o.outcome == 0 else -1.0
     return (1.0 + sign * _reference_expectation(net.descriptors[o.qubit].qz)) / 2.0
 
@@ -374,7 +371,7 @@ def joint_measure(net: DescriptorNetwork, outcomes) -> float:
     projectors commute, so order is irrelevant; the picture equivalence
     suite checks both orders.
     """
-    specs = [_check_outcome(net, o) for o in outcomes]
+    specs = [OutcomeSpec.checked(o, net.n) for o in outcomes]
     if len({s.qubit for s in specs}) != len(specs):
         raise ValueError(f"joint outcome qubits must be distinct, got {[s.qubit for s in specs]}")
     if not specs:
@@ -399,8 +396,8 @@ def joint_measure(net: DescriptorNetwork, outcomes) -> float:
 
 def conditional_measure(net: DescriptorNetwork, given, then) -> float:
     """Share of the `given` branch that also carries the `then` record."""
-    given = _check_outcome(net, given)
-    then = _check_outcome(net, then)
+    given = OutcomeSpec.checked(given, net.n)
+    then = OutcomeSpec.checked(then, net.n)
     if given.qubit == then.qubit:
         raise ValueError(f"conditional outcomes must be on distinct qubits, got {given.qubit}")
     base = branch_measure(net, given)
@@ -412,44 +409,48 @@ def conditional_measure(net: DescriptorNetwork, given, then) -> float:
     return joint_measure(net, [given, then]) / base
 
 
-def recomputed_components(net: DescriptorNetwork, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Audit route: (qx, qz) of a qubit as dagger(U) P U, U rebuilt from the gate log.
+def recomputed_components(
+    n: int, gates: Iterable[GateSpec], qubit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Audit route: (qx, qz) of a qubit as dagger(U) P U, U the circuit's cumulative unitary.
 
     X_k U is U with the rows that differ in bit n-1-k swapped, and Z_k U is U
     with the rows whose bit n-1-k is set negated; one product by dagger(U)
     each.
     """
-    if not 0 <= qubit < net.n:
-        raise ValueError(f"qubit {qubit} out of range for n={net.n}")
-    u = net.cumulative_unitary
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range for n={n}")
+    u = cumulative_unitary(n, gates)
     ud = linalg.dagger(u)
-    rows = np.arange(2**net.n)
-    bit = 1 << (net.n - 1 - qubit)
+    rows = np.arange(2**n)
+    bit = 1 << (n - 1 - qubit)
     qx = ud @ u[rows ^ bit]
     qz = ud @ (np.where(rows & bit, -1.0, 1.0)[:, None] * u)
     return qx, qz
 
 
-def locality_audit(net: DescriptorNetwork, watched: int, remote_ops: Iterable[GateSpec]) -> bool:
+def locality_audit(
+    n: int, prelude: Iterable[GateSpec], watched: int, remote_ops: Iterable[GateSpec]
+) -> bool:
     """Check that gates avoiding `watched` leave its descriptor untouched.
 
-    The stored sums must come back exactly equal (no tolerance: gate
-    application never rewrites a non-target), and the dense recomputation
-    from the cumulative unitary, which does not use the local update rule,
-    must agree with their dense forms within the default tolerance.
+    Across `remote_ops` applied after `prelude` on n qubits, the stored sums
+    must come back exactly equal (no tolerance: gate application never
+    rewrites a non-target), and the dense recomputation from the whole
+    circuit's unitary, which does not use the local update rule, must agree
+    with their dense forms within the default tolerance.
     """
-    if not 0 <= watched < net.n:
-        raise ValueError(f"qubit {watched} out of range for n={net.n}")
-    remote_ops = list(remote_ops)
+    prelude, remote_ops = list(prelude), list(remote_ops)
     for g in remote_ops:
         if watched in g.targets:
             raise ValueError(f"remote op {g.name} targets the watched qubit {watched}")
+    # Also rejects a watched qubit outside [0, n) before it indexes a network.
+    qx_audit, qz_audit = recomputed_components(n, prelude + remote_ops, watched)
+    net = apply_circuit(init_network(n), prelude)
     before = net.descriptors[watched]
-    evolved = apply_circuit(net, remote_ops)
-    after = evolved.descriptors[watched]
-    qx_audit, qz_audit = recomputed_components(evolved, watched)
+    after = apply_circuit(net, remote_ops).descriptors[watched]
     consistent = (
-        linalg.frobenius_distance(qx_audit, to_dense(after.qx, net.n)) <= DEFAULT_TOL
-        and linalg.frobenius_distance(qz_audit, to_dense(after.qz, net.n)) <= DEFAULT_TOL
+        linalg.frobenius_distance(qx_audit, to_dense(after.qx, n)) <= DEFAULT_TOL
+        and linalg.frobenius_distance(qz_audit, to_dense(after.qz, n)) <= DEFAULT_TOL
     )
     return after == before and consistent

@@ -88,7 +88,7 @@ def outcome_probability(state: StateVector, outcomes) -> float:
     Sums |amplitude|**2 over every basis state consistent with the record.
     An empty record has probability 1.
     """
-    specs = [_check_outcome(state, o) for o in outcomes]
+    specs = [OutcomeSpec.checked(o, state.n) for o in outcomes]
     if len({s.qubit for s in specs}) != len(specs):
         raise ValueError(f"outcome qubits must be distinct, got {[s.qubit for s in specs]}")
     probs = np.abs(state.amplitudes) ** 2
@@ -99,11 +99,3 @@ def outcome_probability(state: StateVector, outcomes) -> float:
         mask &= bit == s.outcome
     return float(probs[mask].sum())
 
-
-def _check_outcome(state: StateVector, o) -> OutcomeSpec:
-    qubit, outcome = o
-    if not 0 <= qubit < state.n:
-        raise ValueError(f"qubit {qubit} out of range for n={state.n}")
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    return OutcomeSpec(int(qubit), int(outcome))

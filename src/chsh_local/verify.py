@@ -40,10 +40,15 @@ class SuiteResult(NamedTuple):
     detail: str
 
 
-def _check_suite_size(n_circuits: int, max_qubits: int, max_depth: int, min_qubits: int) -> None:
-    """Reject a suite size that would check nothing or leave the dense routes' range."""
+def check_circuit_count(n_circuits: int) -> None:
+    """Reject a suite circuit count that would check nothing."""
     if n_circuits < 1:
         raise ValueError(f"n_circuits must be >= 1, got {n_circuits}")
+
+
+def _check_suite_size(n_circuits: int, max_qubits: int, max_depth: int, min_qubits: int) -> None:
+    """Reject a suite size that would check nothing or leave the dense routes' range."""
+    check_circuit_count(n_circuits)
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     if not min_qubits <= max_qubits <= MAX_QUBITS:
@@ -150,10 +155,10 @@ def locality_suite(
 ) -> SuiteResult:
     """Audit descriptor locality against random remote circuits.
 
-    Each trial preludes with gates anywhere (so the watched descriptor is
-    generally nontrivial), then audits a circuit that avoids the watched
-    qubit: its stored sums must come back exactly unchanged and must
-    match recomputation from the cumulative unitary.  `n_circuits` and
+    Each trial draws a prelude of gates anywhere (so the watched descriptor
+    is generally nontrivial) and a remote circuit avoiding the watched
+    qubit; its stored sums must come back exactly unchanged and must match
+    recomputation from the whole circuit's unitary.  `n_circuits` and
     `max_depth` must be at least 1 and `max_qubits` in [2, MAX_QUBITS]
     (a remote circuit needs a qubit besides the watched one); anything else
     is a ValueError.
@@ -167,11 +172,9 @@ def locality_suite(
         others = tuple(k for k in range(n) if k != watched)
         prelude_depth = int(rng.integers(0, max_depth + 1))
         remote_depth = int(rng.integers(1, max_depth + 1))
-        net = descriptors.init_network(n)
-        if prelude_depth:
-            net = descriptors.apply_circuit(net, random_circuit(rng, n, prelude_depth))
+        prelude = random_circuit(rng, n, prelude_depth)
         remote_ops = random_circuit(rng, n, remote_depth, allowed=others)
-        if not descriptors.locality_audit(net, watched, remote_ops):
+        if not descriptors.locality_audit(n, prelude, watched, remote_ops):
             failures += 1
     detail = f"{n_circuits} remote circuits audited, {failures} locality violations"
     return SuiteResult(failures == 0, n_circuits, failures, 0.0, detail)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from chsh_local import cli, harness
+from chsh_local import cli, harness, verify
 
 COS2_PI_8 = 0.8535533905932737
 
@@ -251,6 +251,16 @@ class TestVerify:
         assert code == 1
         assert "PASS (0 " not in out
         assert err == f"error: {message}\n"
+
+    def test_bad_locality_count_fails_before_the_equivalence_suite(self, capsys, monkeypatch):
+        def equivalence_suite(**kwargs):
+            raise AssertionError("the equivalence suite ran before the counts were checked")
+
+        monkeypatch.setattr(verify, "picture_equivalence_suite", equivalence_suite)
+        code, out, err = run_cli(capsys, "verify", "--locality-circuits", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: n_circuits must be >= 1, got 0\n"
 
 
 class TestInvariantViolation:

@@ -1,6 +1,7 @@
 """Tests for the Heisenberg-picture descriptor engine."""
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -12,10 +13,11 @@ from chsh_local.descriptors import GateSpec
 from chsh_local.game import QUESTION_PAIRS
 
 
+BELL_PREP = [GateSpec.h(0), GateSpec.cnot(0, 1)]
+
+
 def bell_network():
-    return descriptors.apply_circuit(
-        descriptors.init_network(2), [GateSpec.h(0), GateSpec.cnot(0, 1)]
-    )
+    return descriptors.apply_circuit(descriptors.init_network(2), BELL_PREP)
 
 
 class TestGateSpec:
@@ -83,8 +85,7 @@ class TestInitNetwork:
         qz1 = descriptors.to_dense(net.descriptors[1].qz, 2)
         assert np.array_equal(qx0, linalg.embed_one(linalg.X, 0, 2))
         assert np.array_equal(qz1, linalg.embed_one(linalg.Z, 1, 2))
-        assert np.array_equal(net.cumulative_unitary, linalg.identity(4))
-        assert net.gate_log == ()
+        assert np.array_equal(descriptors.cumulative_unitary(2, []), linalg.identity(4))
 
     def test_fresh_network_measures(self):
         net = descriptors.init_network(1)
@@ -104,9 +105,9 @@ class TestInitNetwork:
             with pytest.raises(ValueError, match="dense audit route"):
                 descriptors.embedded_gate(GateSpec.x(0), wide)
             with pytest.raises(ValueError, match="dense audit route"):
-                net.cumulative_unitary
+                descriptors.cumulative_unitary(wide, [])
             with pytest.raises(ValueError, match="dense audit route"):
-                descriptors.recomputed_components(net, 0)
+                descriptors.recomputed_components(wide, [], 0)
 
     def test_qubit_count_cap(self):
         cap = descriptors.MAX_NETWORK_QUBITS
@@ -130,7 +131,6 @@ class TestInitNetwork:
         assert len(net.descriptors[1].qz) > 1  # non-Clifford: several strings
         copied = round_trip(net)
         assert copied == net
-        assert copied.gate_log == net.gate_log
         for d in copied.descriptors:
             for component in (d.qx, d.qz):
                 with pytest.raises(TypeError):
@@ -164,7 +164,12 @@ class TestApplyGate:
         evolved = descriptors.apply_gate(net, GateSpec.h(0))
         assert evolved is not net
         assert net.descriptors[0].qx == before
-        assert evolved.gate_log == (GateSpec.h(0),)
+
+    def test_equal_descriptors_make_equal_networks(self):
+        # A network is its descriptors: H H returns the fresh network, history and all.
+        fresh = descriptors.init_network(1)
+        assert descriptors.apply_circuit(fresh, [GateSpec.h(0), GateSpec.h(0)]) == fresh
+        assert [f.name for f in dataclasses.fields(fresh)] == ["n", "descriptors"]
 
     def test_untouched_descriptor_is_shared_object(self):
         net = descriptors.init_network(3)
@@ -183,18 +188,17 @@ class TestApplyGate:
 
     def test_cumulative_unitary_tracks_gates(self):
         gates = [GateSpec.h(0), GateSpec.cnot(0, 1), GateSpec.roty(0.4, 1)]
-        net = descriptors.apply_circuit(descriptors.init_network(2), gates)
         expected = linalg.identity(4)
         for g in gates:
             expected = linalg.matmul(descriptors.embedded_gate(g, 2), expected)
-        assert np.allclose(net.cumulative_unitary, expected, atol=1e-12)
+        assert np.allclose(descriptors.cumulative_unitary(2, gates), expected, atol=1e-12)
 
 
-def kronecker_unitary(net):
+def kronecker_unitary(n, gates):
     """Reference: the left product of the gates' Kronecker-embedded matrices."""
-    unitary = linalg.identity(2**net.n)
-    for g in net.gate_log:
-        unitary = linalg.matmul(descriptors.embedded_gate(g, net.n), unitary)
+    unitary = linalg.identity(2**n)
+    for g in gates:
+        unitary = linalg.matmul(descriptors.embedded_gate(g, n), unitary)
     return unitary
 
 
@@ -211,26 +215,20 @@ class TestAuditRoute:
                 gates = verify.random_circuit(rng, n, int(rng.integers(1, 21)))
                 gates += [fixed[i] for i in rng.permutation(len(fixed))]
                 seen.update((g.name, g.targets[0] < g.targets[-1]) for g in gates)
-                net = descriptors.apply_circuit(descriptors.init_network(n), gates)
-                reference = kronecker_unitary(net)
-                assert np.allclose(net.cumulative_unitary, reference, atol=1e-12)
+                reference = kronecker_unitary(n, gates)
+                assert np.allclose(descriptors.cumulative_unitary(n, gates), reference, atol=1e-12)
                 reference_dagger = linalg.dagger(reference)
                 for k in range(n):
-                    qx, qz = descriptors.recomputed_components(net, k)
+                    qx, qz = descriptors.recomputed_components(n, gates, k)
                     for got, pauli in ((qx, linalg.X), (qz, linalg.Z)):
                         expected = reference_dagger @ linalg.embed_one(pauli, k, n) @ reference
                         assert np.allclose(got, expected, atol=1e-12)
         assert {("CNOT", True), ("CNOT", False)} <= seen
         assert {name for name, _ in seen} == set(descriptors.GATE_NAMES)
 
-    def test_out_of_range_logged_gate_is_rejected(self):
-        net = descriptors.DescriptorNetwork(
-            n=2,
-            descriptors=descriptors.init_network(2).descriptors,
-            gate_log=(GateSpec.cnot(0, 2),),
-        )
+    def test_out_of_range_circuit_gate_is_rejected(self):
         with pytest.raises(ValueError, match="out of range for n=2"):
-            net.cumulative_unitary
+            descriptors.cumulative_unitary(2, [GateSpec.h(0), GateSpec.cnot(0, 2)])
 
 
 class TestPauliSums:
@@ -339,31 +337,27 @@ class TestConditionalMeasure:
 
 class TestLocality:
     def test_remote_gates_leave_descriptor_untouched(self):
-        net = bell_network()
         remote = [GateSpec.h(1), GateSpec.roty(0.9, 1), GateSpec.z(1)]
-        assert descriptors.locality_audit(net, 0, remote)
+        assert descriptors.locality_audit(2, BELL_PREP, 0, remote)
 
     def test_remote_cnot_pair_leaves_third_qubit_untouched(self):
-        net = descriptors.apply_circuit(
-            descriptors.init_network(3), [GateSpec.h(0), GateSpec.cnot(0, 2)]
-        )
-        assert descriptors.locality_audit(net, 1, [GateSpec.cnot(0, 2), GateSpec.h(2)])
+        prelude = [GateSpec.h(0), GateSpec.cnot(0, 2)]
+        assert descriptors.locality_audit(3, prelude, 1, [GateSpec.cnot(0, 2), GateSpec.h(2)])
 
     def test_audit_rejects_ops_touching_watched_qubit(self):
         with pytest.raises(ValueError):
-            descriptors.locality_audit(bell_network(), 0, [GateSpec.x(0)])
+            descriptors.locality_audit(2, BELL_PREP, 0, [GateSpec.x(0)])
 
     def test_audit_rejects_bad_qubit(self):
-        with pytest.raises(ValueError):
-            descriptors.locality_audit(bell_network(), 5, [])
+        for bad in (5, -1):
+            with pytest.raises(ValueError, match=f"qubit {bad} out of range for n=2"):
+                descriptors.locality_audit(2, BELL_PREP, bad, [])
 
     def test_recomputed_components_match_stored(self):
-        net = descriptors.apply_circuit(
-            descriptors.init_network(2),
-            [GateSpec.h(0), GateSpec.cnot(0, 1), GateSpec.roty(-0.3, 0)],
-        )
+        gates = [GateSpec.h(0), GateSpec.cnot(0, 1), GateSpec.roty(-0.3, 0)]
+        net = descriptors.apply_circuit(descriptors.init_network(2), gates)
         for qubit in (0, 1):
-            qx, qz = descriptors.recomputed_components(net, qubit)
+            qx, qz = descriptors.recomputed_components(2, gates, qubit)
             assert np.allclose(qx, descriptors.to_dense(net.descriptors[qubit].qx, 2), atol=1e-10)
             assert np.allclose(qz, descriptors.to_dense(net.descriptors[qubit].qz, 2), atol=1e-10)
 
@@ -395,14 +389,14 @@ def circuits(draw):
 def test_random_circuit_invariants(circuit):
     n, gates = circuit
     net = descriptors.apply_circuit(descriptors.init_network(n), gates)
-    assert linalg.is_unitary(net.cumulative_unitary)
+    assert linalg.is_unitary(descriptors.cumulative_unitary(n, gates))
     for qubit in range(n):
         p0 = descriptors.branch_measure(net, (qubit, 0))
         p1 = descriptors.branch_measure(net, (qubit, 1))
         assert -1e-12 <= p0 <= 1.0 + 1e-12
         assert p0 + p1 == pytest.approx(1.0, abs=1e-10)
         # The local update rule agrees with dense conjugation by the rebuilt U.
-        qx, qz = descriptors.recomputed_components(net, qubit)
+        qx, qz = descriptors.recomputed_components(n, gates, qubit)
         d = net.descriptors[qubit]
         assert linalg.frobenius_distance(qx, descriptors.to_dense(d.qx, n)) <= 1e-10
         assert linalg.frobenius_distance(qz, descriptors.to_dense(d.qz, n)) <= 1e-10

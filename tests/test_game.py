@@ -185,7 +185,8 @@ class TestRoundNetwork:
         p = game.default_protocol()
         for q in QUESTION_PAIRS:
             net = game.build_round_network(p, q)
-            prep, (rot_a, rot_b) = list(net.gate_log[:2]), net.gate_log[2:]
+            gates = p.round_gates(q)
+            prep, (rot_a, rot_b) = gates[:2], gates[2:]
             swapped = descriptors.apply_circuit(
                 descriptors.init_network(2), prep + [rot_b, rot_a]
             )
@@ -195,11 +196,32 @@ class TestRoundNetwork:
                         descriptors.to_dense(c, 2), descriptors.to_dense(c_swapped, 2)
                     )
 
+    def test_swapped_rotations_give_an_equal_network(self):
+        p = game.default_protocol()
+        for q in QUESTION_PAIRS:
+            gates = p.round_gates(q)
+            prep, (rot_a, rot_b) = gates[:2], gates[2:]
+            swapped = descriptors.apply_circuit(
+                descriptors.init_network(2), prep + [rot_b, rot_a]
+            )
+            assert swapped == game.build_round_network(p, q)
+
     def test_no_cross_qubit_gate_after_prep(self):
-        net = game.build_round_network(game.default_protocol(), QuestionPair(1, 0))
-        assert len(net.gate_log) == 4
-        for g in net.gate_log[2:]:
+        gates = game.default_protocol().round_gates(QuestionPair(1, 0))
+        assert len(gates) == 4
+        for g in gates[2:]:
             assert len(g.targets) == 1
+
+    def test_no_signalling_descriptors_are_exact(self):
+        # Stronger than the marginals' 1e-10: each player's descriptor is
+        # bit-identical whatever the other player was asked.
+        p = game.default_protocol()
+        nets = {q: game.build_round_network(p, q) for q in QUESTION_PAIRS}
+        for own in (0, 1):
+            alice = [nets[QuestionPair(own, qb)].descriptors[0] for qb in (0, 1)]
+            bob = [nets[QuestionPair(qa, own)].descriptors[1] for qa in (0, 1)]
+            assert alice[0] == alice[1]
+            assert bob[0] == bob[1]
 
     def test_no_signalling_marginals(self):
         p = game.default_protocol()

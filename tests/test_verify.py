@@ -33,17 +33,17 @@ def test_equivalence_suite_catches_order_dependent_joint_measures(monkeypatch):
     assert f"{result.failures} order failures" in result.detail
 
 
-def test_locality_suite_catches_a_dropped_logged_gate(monkeypatch):
+def test_locality_suite_catches_a_dropped_circuit_gate(monkeypatch):
     # The stored descriptors stay right, so only the dense recomputation
-    # can catch a cumulative unitary that forgets the first logged gate.
-    # (Forgetting the last one would go unseen: a remote gate commutes with
-    # the watched qubit's Paulis.)
-    exact = descriptors.DescriptorNetwork.cumulative_unitary
+    # can catch a cumulative unitary that forgets the first gate of the
+    # audited circuit.  (Forgetting the last one would go unseen: a remote
+    # gate commutes with the watched qubit's Paulis.)
+    exact = descriptors.cumulative_unitary
 
-    def drop_first(net):
-        return exact.fget(dataclasses.replace(net, gate_log=net.gate_log[1:]))
+    def drop_first(n, gates):
+        return exact(n, list(gates)[1:])
 
-    monkeypatch.setattr(descriptors.DescriptorNetwork, "cumulative_unitary", property(drop_first))
+    monkeypatch.setattr(descriptors, "cumulative_unitary", drop_first)
     result = verify.locality_suite(n_circuits=50)
     assert not result.passed
     assert result.failures > 0
