@@ -27,6 +27,7 @@ from .descriptors import (
     init_network,
     joint_measure,
     locality_audit,
+    record_measures,
 )
 from .game import (
     CLASSICAL_CEILING,
@@ -67,6 +68,7 @@ from .statevector import (
     apply_gate_sv,
     init_state,
     outcome_probability,
+    record_probabilities,
     run_circuit,
 )
 
@@ -113,6 +115,8 @@ __all__ = [
     "outcome_probability",
     "play_rounds",
     "read_round_table",
+    "record_measures",
+    "record_probabilities",
     "redundancy_demo",
     "run_circuit",
     "run_tournament",

@@ -28,7 +28,11 @@ exact equality, not a tolerance.
 Outcome statistics are *branch measures*: the squared-amplitude weight of a
 history, the expectation of a projector in the reference state.  As
 <0...0| X^x Z^z |0...0> = [x = 0], a measure reads the coefficients of the
-strings with no X bit.  The state-vector oracle in
+strings with no X bit.  A joint record's measure folds its outcome
+projectors into one sum; :func:`record_measures` folds all 2**k records on
+k qubits depth first, so records sharing a prefix share its fold steps, and
+:func:`joint_measure` walks one path through the same steps.  The
+state-vector oracle in
 :mod:`chsh_local.statevector` is a second, independent route to every such
 number (the two share gate-matrix constants, no application code), and
 :mod:`chsh_local.verify` runs the audits.  A network holds only its
@@ -77,6 +81,9 @@ GATE_NAMES = _SINGLE_QUBIT_GATES + ("CNOT",)
 
 #: A descriptor component: read-only {(x_bits, z_bits): coeff}.
 PauliSum = Mapping[tuple[int, int], float]
+
+#: The identity as a Pauli sum: where every outcome-record fold starts.
+_IDENTITY: PauliSum = MappingProxyType({(0, 0): 1.0})
 
 
 @dataclass(frozen=True)
@@ -151,6 +158,21 @@ class OutcomeSpec(NamedTuple):
         if outcome not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {outcome}")
         return cls(int(qubit), int(outcome))
+
+    @classmethod
+    def checked_record(cls, outcomes, n: int) -> list["OutcomeSpec"]:
+        """A joint outcome record as OutcomeSpecs, each checked, on distinct qubits.
+
+        A qubit list is checked as the record of outcome 0 on each qubit.
+        """
+        # A list, not tuple() of a generator: called once per record, the
+        # generator form made resident memory creep up by about 0.5 MiB
+        # before levelling off (CPython 3.11).
+        specs = [cls.checked(o, n) for o in outcomes]
+        qubits = [s.qubit for s in specs]
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"outcome qubits must be distinct, got {qubits}")
+        return specs
 
 
 @dataclass(frozen=True)
@@ -360,27 +382,20 @@ def branch_measure(net: DescriptorNetwork, o) -> float:
     return (1.0 + sign * _reference_expectation(net.descriptors[o.qubit].qz)) / 2.0
 
 
-def joint_measure(net: DescriptorNetwork, outcomes) -> float:
-    """Measure of a joint outcome record on distinct qubits (1 if empty).
+def _child(m: PauliSum, mq: PauliSum, outcome: int) -> PauliSum:
+    """One fold step M <- (M + sign M qz) / 2, given the product mq = M qz."""
+    sign = 1.0 if outcome == 0 else -1.0
+    return _combine((0.5, m), (0.5 * sign, mq))
 
-    Folds the outcome projectors into one Pauli sum, M <- (M + sign M qz) / 2
-    from M = I, and reads <0...0| M |0...0>.  The last step forms only the
-    x = 0 strings of M qz, the only ones read, in the order the full product
-    would form them, so the result is bit-identical to the full fold and
-    that step's full product is not held to :data:`MAX_TERMS`.  The
-    projectors commute, so order is irrelevant; the picture equivalence
-    suite checks both orders.
+
+def _last_reads(m: PauliSum, qz: PauliSum) -> tuple[float, float]:
+    """<0...0| (M + sign M qz) / 2 |0...0> for outcomes 0 and 1.
+
+    Forms only the x = 0 strings of M qz, the only ones read, once for both
+    outcomes and in the order the full product would form them, so each
+    read is bit-identical to the full fold's.  That product is not held to
+    :data:`MAX_TERMS`.
     """
-    specs = [OutcomeSpec.checked(o, net.n) for o in outcomes]
-    if len({s.qubit for s in specs}) != len(specs):
-        raise ValueError(f"joint outcome qubits must be distinct, got {[s.qubit for s in specs]}")
-    if not specs:
-        return 1.0
-    steps = [(1.0 if s.outcome == 0 else -1.0, net.descriptors[s.qubit].qz) for s in specs]
-    m = {(0, 0): 1.0}
-    for sign, qz in steps[:-1]:
-        m = _combine((0.5, m), (0.5 * sign, _product(m, qz)))
-    sign, qz = steps[-1]
     # X^x1 Z^z1 X^x2 Z^z2 has no X bit only when x1 == x2.
     product = {}
     for (x1, z1), c1 in m.items():
@@ -388,10 +403,56 @@ def joint_measure(net: DescriptorNetwork, outcomes) -> float:
             if x1 == x2:
                 c = -c1 * c2 if (z1 & x2).bit_count() & 1 else c1 * c2
                 product[z1 ^ z2] = product.get(z1 ^ z2, 0.0) + c
-    read = {z: 0.5 * c for (x, z), c in m.items() if x == 0}
-    for z, c in product.items():
-        read[z] = read.get(z, 0.0) + 0.5 * sign * c
-    return float(sum(read.values()))
+    base = {z: 0.5 * c for (x, z), c in m.items() if x == 0}
+    reads = []
+    for sign in (1.0, -1.0):
+        read = dict(base)
+        for z, c in product.items():
+            read[z] = read.get(z, 0.0) + 0.5 * sign * c
+        reads.append(float(sum(read.values())))
+    return reads[0], reads[1]
+
+
+def joint_measure(net: DescriptorNetwork, outcomes) -> float:
+    """Measure of a joint outcome record on distinct qubits (1 if empty).
+
+    Folds the outcome projectors into one Pauli sum, M <- (M + sign M qz) / 2
+    from M = I, and reads <0...0| M |0...0>: one path of the fold that
+    :func:`record_measures` walks in full, through the same steps.  The
+    projectors commute, so order is irrelevant; the picture equivalence
+    suite checks both orders.
+    """
+    specs = OutcomeSpec.checked_record(outcomes, net.n)
+    if not specs:
+        return 1.0
+    m = _IDENTITY
+    for s in specs[:-1]:
+        qz = net.descriptors[s.qubit].qz
+        m = _child(m, _product(m, qz), s.outcome)
+    last = specs[-1]
+    return _last_reads(m, net.descriptors[last.qubit].qz)[last.outcome]
+
+
+def record_measures(net: DescriptorNetwork, qubits) -> tuple[float, ...]:
+    """Measures of all 2**k outcome records on k distinct qubits ((1.0,) if none).
+
+    Entry j is :func:`joint_measure` of the record whose outcome bits,
+    qubits[0] most significant, spell j, and is bit-identical to it.  The
+    fold runs depth first from M = I: each node forms M qz once for both
+    children, and the last step reads both outcomes from one x1 == x2
+    product, so shared record prefixes are folded once.
+    """
+    specs = OutcomeSpec.checked_record([(q, 0) for q in qubits], net.n)
+    qzs = [net.descriptors[s.qubit].qz for s in specs]
+    return _fold_records(_IDENTITY, qzs) if qzs else (1.0,)
+
+
+def _fold_records(m: PauliSum, qzs: list[PauliSum]) -> tuple[float, ...]:
+    """Reads of every continuation of the fold at M over the qzs, outcome 0 first."""
+    if len(qzs) == 1:
+        return _last_reads(m, qzs[0])
+    mq = _product(m, qzs[0])
+    return _fold_records(_child(m, mq, 0), qzs[1:]) + _fold_records(_child(m, mq, 1), qzs[1:])
 
 
 def conditional_measure(net: DescriptorNetwork, given, then) -> float:

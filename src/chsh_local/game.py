@@ -215,11 +215,12 @@ def oracle_win_probability(alice_theta: float, bob_theta: float, q: QuestionPair
         GateSpec.roty(alice_theta, 0),
         GateSpec.roty(bob_theta, 1),
     ])
+    probabilities = statevector.record_probabilities(state, [0, 1])
     total = 0.0
     for aa in (0, 1):
         for ab in (0, 1):
             if win_predicate(q, aa, ab):
-                total += statevector.outcome_probability(state, [(0, aa), (1, ab)])
+                total += probabilities[2 * aa + ab]
     return total
 
 
@@ -333,14 +334,13 @@ def branch_tree(p: QuantumProtocol, q: QuestionPair, perspective: str = "alice")
     net = build_round_network(p, q)
     first = 0 if perspective == "alice" else 1
     second = 1 - first
+    joints = descriptors.record_measures(net, [first, second])
     nodes = []
     for first_outcome in (0, 1):
         parent = descriptors.branch_measure(net, (first, first_outcome))
         leaves = []
         for second_outcome in (0, 1):
-            joint = descriptors.joint_measure(
-                net, [(first, first_outcome), (second, second_outcome)]
-            )
+            joint = joints[2 * first_outcome + second_outcome]
             # Exactly the quotient descriptors.conditional_measure would recompute.
             conditional = joint / parent
             if first == 0:

@@ -4,7 +4,11 @@ Both suites generate random circuits from a seeded generator and check the
 descriptor engine against an independent standard.  Picture equivalence
 compares every joint outcome measure with the state-vector oracle and
 checks that each multi-qubit record gives the same measure in reversed
-order (the outcome projectors commute); locality checks that gates avoiding
+order (the outcome projectors commute).  It takes each qubit order's
+records from one batch call per route, :func:`descriptors.record_measures`
+and :func:`statevector.record_probabilities`, each entry bit-identical to
+the per-record :func:`descriptors.joint_measure` and
+:func:`statevector.outcome_probability`.  Locality checks that gates avoiding
 a watched qubit leave its stored descriptor untouched bit for bit.  These
 are the audits the engine's hot path does not run on every call.  The CLI
 `verify` subcommand and the acceptance tests both run these, so the suite
@@ -13,7 +17,6 @@ parameters and defaults live here, in one place.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -86,6 +89,12 @@ def random_circuit(
     return gates
 
 
+def _record(qubits: list[int], j: int) -> list[tuple[int, int]]:
+    """Record j on `qubits` as (qubit, outcome) pairs, qubits[0]'s bit most significant."""
+    k = len(qubits)
+    return [(q, (j >> (k - 1 - i)) & 1) for i, q in enumerate(qubits)]
+
+
 def picture_equivalence_suite(
     n_circuits: int = 1000,
     max_qubits: int = 4,
@@ -95,11 +104,13 @@ def picture_equivalence_suite(
 ) -> SuiteResult:
     """Compare descriptor measures against the oracle on random circuits.
 
-    For each circuit, every full joint outcome (all 2**n of them) and every
-    single-qubit marginal is computed by both routes; any deviation beyond
-    `tol` is a failure.  Every multi-qubit record is also evaluated by the
-    engine in reversed order, and a change beyond the default tolerance is
-    a failure as well: the order independence of commuting projectors.
+    For each circuit, every full joint outcome (all 2**n of them, on qubits
+    0..n-1) and every single-qubit marginal is computed by both routes, one
+    batch call per route and qubit order; any deviation beyond `tol` is a
+    failure.  Every multi-qubit record is also evaluated by the engine in
+    reversed order (one more batch call on the reversed qubits), and a
+    change beyond the default tolerance is a failure as well: the order
+    independence of commuting projectors.
     `n_circuits` and `max_depth` must be at least 1 and `max_qubits` in
     [1, MAX_QUBITS]; anything else is a ValueError.
     """
@@ -116,26 +127,27 @@ def picture_equivalence_suite(
         gates = random_circuit(rng, n, depth)
         net = descriptors.apply_circuit(descriptors.init_network(n), gates)
         state = statevector.run_circuit(n, gates)
-        joints = [
-            [(k, o) for k, o in enumerate(bits)]
-            for bits in itertools.product((0, 1), repeat=n)
-        ]
-        singles = [[(k, o)] for k in range(n) for o in (0, 1)]
-        for outcomes in joints + singles:
-            engine = descriptors.joint_measure(net, outcomes)
-            oracle = statevector.outcome_probability(state, outcomes)
-            deviation = abs(engine - oracle)
-            checked += 1
-            if deviation > max_deviation:
-                max_deviation = deviation
-                worst = f"circuit {index}, n={n}, outcomes {outcomes}"
-            order_gap = 0.0
-            if len(outcomes) > 1:
-                order_gap = abs(descriptors.joint_measure(net, outcomes[::-1]) - engine)
-            if order_gap > DEFAULT_TOL:
-                order_failures.append(f"circuit {index}, outcomes {outcomes} by {order_gap:.3e}")
-            if deviation > tol or order_gap > DEFAULT_TOL:
-                failures += 1
+        for qubits in [list(range(n))] + [[k] for k in range(n)]:
+            k = len(qubits)
+            engine = descriptors.record_measures(net, qubits)
+            oracle = statevector.record_probabilities(state, qubits)
+            backward = descriptors.record_measures(net, qubits[::-1]) if k > 1 else None
+            for j, (measure, probability) in enumerate(zip(engine, oracle)):
+                deviation = abs(measure - probability)
+                checked += 1
+                if deviation > max_deviation:
+                    max_deviation = deviation
+                    worst = f"circuit {index}, n={n}, outcomes {_record(qubits, j)}"
+                order_gap = 0.0
+                if backward is not None:
+                    # The reversed record's index spells j's bits backwards.
+                    order_gap = abs(backward[int(f"{j:0{k}b}"[::-1], 2)] - measure)
+                if order_gap > DEFAULT_TOL:
+                    order_failures.append(
+                        f"circuit {index}, outcomes {_record(qubits, j)} by {order_gap:.3e}"
+                    )
+                if deviation > tol or order_gap > DEFAULT_TOL:
+                    failures += 1
     detail = (
         f"{checked} joint measures across {n_circuits} circuits, "
         f"max deviation {max_deviation:.3e}, {len(order_failures)} order failures"

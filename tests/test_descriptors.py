@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import pickle
 
 import numpy as np
@@ -309,10 +310,19 @@ class TestJointMeasure:
 
     def test_empty_record_has_measure_one(self):
         assert descriptors.joint_measure(bell_network(), []) == 1.0
+        assert descriptors.record_measures(bell_network(), []) == (1.0,)
 
     def test_duplicate_qubits_rejected(self):
-        with pytest.raises(ValueError):
+        message = r"outcome qubits must be distinct, got \[0, 0\]"
+        with pytest.raises(ValueError, match=message):
             descriptors.joint_measure(bell_network(), [(0, 0), (0, 1)])
+        with pytest.raises(ValueError, match=message):
+            descriptors.record_measures(bell_network(), [0, 0])
+
+    def test_record_measures_reject_out_of_range_qubits(self):
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match=f"qubit {bad} out of range for n=2"):
+                descriptors.record_measures(bell_network(), [0, bad])
 
 
 class TestConditionalMeasure:
@@ -427,3 +437,10 @@ def test_joint_measure_equals_the_full_fold_bit_for_bit():
         qubits = rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
         outcomes = [(q, int(rng.integers(2))) for q in qubits]
         assert descriptors.joint_measure(net, outcomes) == full_fold_joint_measure(net, outcomes)
+        # Every record on the same qubits, from one prefix-shared fold;
+        # record j spells its outcome bits with qubits[0] most significant.
+        measures = descriptors.record_measures(net, qubits)
+        assert len(measures) == 2 ** len(qubits)
+        for j, bits in enumerate(itertools.product((0, 1), repeat=len(qubits))):
+            record = list(zip(qubits, bits))
+            assert measures[j] == full_fold_joint_measure(net, record)

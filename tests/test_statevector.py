@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from chsh_local import descriptors, statevector
+from chsh_local import descriptors, linalg, statevector, verify
 from chsh_local.descriptors import GateSpec
 
 
@@ -65,12 +65,64 @@ def test_cnot_on_nonadjacent_qubits():
 def test_outcome_probability_validation():
     state = statevector.init_state(2)
     assert statevector.outcome_probability(state, []) == 1.0
-    with pytest.raises(ValueError):
+    assert statevector.record_probabilities(state, []) == (1.0,)
+    message = r"outcome qubits must be distinct, got \[0, 0\]"
+    with pytest.raises(ValueError, match=message):
         statevector.outcome_probability(state, [(0, 0), (0, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
+        statevector.record_probabilities(state, [0, 0])
+    with pytest.raises(ValueError, match="qubit 2 out of range for n=2"):
         statevector.outcome_probability(state, [(2, 0)])
-    with pytest.raises(ValueError):
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match=f"qubit {bad} out of range for n=2"):
+            statevector.record_probabilities(state, [1, bad])
+    with pytest.raises(ValueError, match="outcome must be 0 or 1, got 2"):
         statevector.outcome_probability(state, [(0, 2)])
+
+
+def masked_sum_probability(state, outcomes):
+    """Reference: one mask over the basis indices per record."""
+    probs = np.abs(state.amplitudes) ** 2
+    mask = np.ones(state.dim, dtype=bool)
+    indices = np.arange(state.dim)
+    for qubit, outcome in outcomes:
+        mask &= ((indices >> (state.n - 1 - qubit)) & 1) == outcome
+    return float(probs[mask].sum())
+
+
+def test_record_probabilities_equal_per_record_masked_sums():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        gates = verify.random_circuit(rng, n, int(rng.integers(1, 15)))
+        state = statevector.run_circuit(n, gates)
+        qubits = rng.permutation(n)[: rng.integers(0, n + 1)].tolist()
+        probabilities = statevector.record_probabilities(state, qubits)
+        assert len(probabilities) == 2 ** len(qubits)
+        for j, bits in enumerate(itertools.product((0, 1), repeat=len(qubits))):
+            record = list(zip(qubits, bits))
+            assert probabilities[j] == masked_sum_probability(state, record)
+            assert statevector.outcome_probability(state, record) == probabilities[j]
+
+
+def tensordot_gate(state, g):
+    """Reference single-qubit application: contract the gate into axis k."""
+    psi = state.amplitudes.reshape((2,) * state.n)
+    u = linalg.single_qubit_gate(g.name, g.theta)
+    psi = np.moveaxis(np.tensordot(u, psi, axes=([1], [g.targets[0]])), 0, g.targets[0])
+    return np.ascontiguousarray(psi.reshape(state.dim))
+
+
+def test_single_qubit_gates_equal_the_tensordot_contraction_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        state = statevector.init_state(n)
+        for g in verify.random_circuit(rng, n, int(rng.integers(1, 15))):
+            after = statevector.apply_gate_sv(state, g)
+            if g.name != "CNOT":
+                assert np.array_equal(after.amplitudes, tensordot_gate(state, g))
+            state = after
 
 
 def test_application_matches_full_matrix_route():

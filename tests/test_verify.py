@@ -15,16 +15,16 @@ def test_equivalence_suite_catches_order_dependent_joint_measures(monkeypatch):
     # alone would pass, so only the reversed-order check can catch it.
     offset = 5e-10
     assert DEFAULT_TOL < offset < verify.EQUIVALENCE_TOL
-    exact = descriptors.joint_measure
+    exact = descriptors.record_measures
 
-    def order_dependent(net, outcomes):
-        outcomes = list(outcomes)
-        value = exact(net, outcomes)
-        if len(outcomes) > 1 and outcomes[0][0] > outcomes[-1][0]:
-            value += offset
-        return value
+    def order_dependent(net, qubits):
+        qubits = list(qubits)
+        measures = exact(net, qubits)
+        if len(qubits) > 1 and qubits[0] > qubits[-1]:
+            measures = tuple(m + offset for m in measures)
+        return measures
 
-    monkeypatch.setattr(descriptors, "joint_measure", order_dependent)
+    monkeypatch.setattr(descriptors, "record_measures", order_dependent)
     result = verify.picture_equivalence_suite(n_circuits=50)
     assert not result.passed
     assert result.failures > 0
