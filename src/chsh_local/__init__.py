@@ -44,7 +44,6 @@ from .game import (
     build_round_network,
     classical_optimum,
     default_protocol,
-    descriptor_win_measure,
     mixed_strategy_rate,
     oracle_win_probability,
     redundancy_demo,
@@ -105,7 +104,6 @@ __all__ = [
     "classical_optimum",
     "conditional_measure",
     "default_protocol",
-    "descriptor_win_measure",
     "init_network",
     "init_state",
     "joint_measure",

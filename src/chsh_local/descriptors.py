@@ -41,14 +41,16 @@ circuit it audits as an argument.  :func:`cumulative_unitary` applies each
 gate to the unitary's rows (a 2x2 mix of row pairs, or a row permutation
 for CNOT), and :func:`recomputed_components` conjugates the initial Paulis
 by it, sharing nothing with the update rule.  No embedded gate matrix is
-formed; :func:`embedded_gate` builds those by Kronecker products as the
-tests' reference.
+formed; :func:`embedded_gate` builds one by folding :func:`linalg.tensor`
+over its n single-qubit factors, as the tests' Kronecker reference.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -86,6 +88,16 @@ PauliSum = Mapping[tuple[int, int], float]
 _IDENTITY: PauliSum = MappingProxyType({(0, 0): 1.0})
 
 
+def as_index(value, name: str) -> int:
+    """An index or count as a plain int; a bool or a non-integer is a ValueError naming it."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GateSpec:
     """One gate of a circuit: a name, target qubits, and an optional angle.
@@ -99,15 +111,17 @@ class GateSpec:
     theta: float | None = None
 
     def __post_init__(self):
+        targets = tuple([as_index(t, "target") for t in self.targets])
+        object.__setattr__(self, "targets", targets)
         if self.name not in GATE_NAMES:
             raise ValueError(f"unknown gate {self.name!r}")
         arity = 2 if self.name == "CNOT" else 1
-        if len(self.targets) != arity:
-            raise ValueError(f"{self.name} takes {arity} target(s), got {self.targets}")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"targets must be distinct, got {self.targets}")
-        if any(t < 0 for t in self.targets):
-            raise ValueError(f"targets must be >= 0, got {self.targets}")
+        if len(targets) != arity:
+            raise ValueError(f"{self.name} takes {arity} target(s), got {targets}")
+        if len(set(targets)) != arity:
+            raise ValueError(f"targets must be distinct, got {targets}")
+        if min(targets) < 0:
+            raise ValueError(f"targets must be >= 0, got {targets}")
         if self.name == "ROTY":
             if self.theta is None or not np.isfinite(self.theta):
                 raise ValueError(f"ROTY needs a finite angle, got {self.theta}")
@@ -152,12 +166,12 @@ class OutcomeSpec(NamedTuple):
     @classmethod
     def checked(cls, o, n: int) -> "OutcomeSpec":
         """A (qubit, outcome) pair as an OutcomeSpec, checked against an n-qubit register."""
-        qubit, outcome = o
+        qubit, outcome = as_index(o[0], "qubit"), as_index(o[1], "outcome")
         if not 0 <= qubit < n:
             raise ValueError(f"qubit {qubit} out of range for n={n}")
         if outcome not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-        return cls(int(qubit), int(outcome))
+        return cls(qubit, outcome)
 
     @classmethod
     def checked_record(cls, outcomes, n: int) -> list["OutcomeSpec"]:
@@ -237,23 +251,22 @@ def _check_dense(n: int) -> None:
 
 
 def embedded_gate(g: GateSpec, n: int) -> np.ndarray:
-    """Full 2**n matrix of a gate at its target slots, built by Kronecker products.
+    """Full 2**n matrix of a gate: :func:`linalg.tensor` folded over its n factors.
 
     The reference that tests compare the audit route's row updates against;
     no program path calls it.
     """
     _check_dense(n)
     g.validate_for(n)
-    if g.name == "CNOT":
-        control, target = g.targets
-        idle = [linalg.identity(2)] * n
-        on_zero = list(idle)
-        on_zero[control] = linalg.P0
-        on_one = list(idle)
-        on_one[control] = linalg.P1
-        on_one[target] = linalg.X
-        return linalg.tensor_all(on_zero) + linalg.tensor_all(on_one)
-    return linalg.embed_one(linalg.single_qubit_gate(g.name, g.theta), g.targets[0], n)
+    factors = [linalg.identity(2)] * n
+    if g.name != "CNOT":
+        factors[g.targets[0]] = linalg.single_qubit_gate(g.name, g.theta)
+        return reduce(linalg.tensor, factors)
+    control, target = g.targets
+    on_one = list(factors)
+    factors[control] = np.diag([1.0, 0.0])
+    on_one[control], on_one[target] = np.diag([0.0, 1.0]), linalg.X
+    return reduce(linalg.tensor, factors) + reduce(linalg.tensor, on_one)
 
 
 def to_dense(component: PauliSum, n: int) -> np.ndarray:
@@ -306,6 +319,7 @@ def init_network(n: int) -> DescriptorNetwork:
 
     n runs from 1 to :data:`MAX_NETWORK_QUBITS`.
     """
+    n = as_index(n, "qubit count")
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     if n > MAX_NETWORK_QUBITS:
@@ -479,6 +493,7 @@ def recomputed_components(
     with the rows whose bit n-1-k is set negated; one product by dagger(U)
     each.
     """
+    qubit = as_index(qubit, "qubit")
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for n={n}")
     u = cumulative_unitary(n, gates)

@@ -81,9 +81,10 @@ QUESTION_PAIRS = (
 
 
 def _check_bit(value, name: str) -> int:
+    value = descriptors.as_index(value, name)
     if value not in (0, 1):
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
-    return int(value)
+    return value
 
 
 def win_predicate(q: QuestionPair, aa: int, ab: int) -> bool:
@@ -236,15 +237,6 @@ def build_round_network(p: QuantumProtocol, q: QuestionPair) -> DescriptorNetwor
     return descriptors.apply_circuit(descriptors.init_network(2), p.round_gates(q))
 
 
-def descriptor_win_measure(p: QuantumProtocol, q: QuestionPair) -> float:
-    """Win measure of one round, summed over its branch tree's winning leaves.
-
-    The second, engine-side route (descriptor joint measures) to the number
-    that :func:`oracle_win_probability` reaches through state vectors.
-    """
-    return branch_tree(p, q).win_measure()
-
-
 @dataclass(frozen=True)
 class BranchLeaf:
     """One joint outcome: both answer bits, its measures, and the win tag.
@@ -318,7 +310,7 @@ class BranchTree:
         raise ValueError(f"no leaf ({alice_outcome}, {bob_outcome})")
 
     def win_measure(self) -> float:
-        """Total measure of the winning leaves: the round's win probability."""
+        """Total measure of the winning leaves: the engine's route to the win probability."""
         return sum(leaf.measure for leaf in self.leaves() if leaf.win)
 
 
@@ -371,8 +363,7 @@ def redundancy_demo(m: int) -> float:
     record already makes the branches orthogonal and drives the visibility
     to 0.  Returns |measure(outcome 0) - measure(outcome 1)| on qubit 0.
     """
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError(f"witness count must be an int, got {m!r}")
+    m = descriptors.as_index(m, "witness count")
     if not 0 <= m <= 10:
         raise ValueError(f"witness count must be in [0, 10], got {m}")
     gates = [GateSpec.h(0)]

@@ -37,6 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import game
+from .descriptors import as_index
 from .game import (
     CLASSICAL_CEILING,
     QUANTUM_WIN_RATE,
@@ -120,9 +121,7 @@ class TournamentConfig:
 
     def __post_init__(self):
         for name in ("rounds", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.mode not in MODES:

@@ -5,17 +5,15 @@ route, live in dimensions 2**n with n <= MAX_QUBITS, so dense numpy arrays
 are the substrate: no sparsity, no decompositions.  The engine's update rule
 works on Pauli sums and uses nothing here.  The qubit-ordering convention is
 fixed here once: qubit 0 is the leftmost (most significant) tensor factor.
-:func:`embed_one` and :func:`tensor` build it as Kronecker products, the
-reference the tests hold the other routes to.  The audit route applies gates
-to the rows of the cumulative unitary by bit n-1-k of the row index, and the
-oracle reads the convention through its own index math (axis k of the
-reshaped amplitudes), so a convention mistake in any of them shows up as a
-disagreement.
+:func:`chsh_local.descriptors.embedded_gate` builds it by folding
+:func:`tensor` over n factors, the Kronecker reference the tests hold the
+other routes to.  The audit route applies gates to the rows of the
+cumulative unitary by bit n-1-k of the row index, and the oracle reads the
+convention through its own index math (axis k of the reshaped amplitudes),
+so a convention mistake in any of them shows up as a disagreement.
 """
 
 from __future__ import annotations
-
-from functools import reduce
 
 import numpy as np
 
@@ -46,10 +44,6 @@ X = _frozen([[0, 1], [1, 0]])
 Y = _frozen([[0, -1j], [1j, 0]])
 Z = _frozen([[1, 0], [0, -1]])
 H = _frozen(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-P0 = _frozen([[1, 0], [0, 0]])  # projector onto |0>
-P1 = _frozen([[0, 0], [0, 1]])  # projector onto |1>
-# Control is the leftmost (most significant) factor.
-CNOT = _frozen([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
 def roty(theta: float) -> np.ndarray:
@@ -77,14 +71,6 @@ def _as_square(a) -> np.ndarray:
     return m
 
 
-def _finite_norm(m: np.ndarray) -> float:
-    """Frobenius norm of m; a NaN or inf entry makes it non-finite, a ValueError."""
-    norm = float(np.linalg.norm(m))
-    if not np.isfinite(norm):
-        raise ValueError("matrix contains non-finite entries")
-    return norm
-
-
 def identity(dim: int) -> np.ndarray:
     """Identity matrix of the given dimension (dim >= 1)."""
     if dim < 1:
@@ -110,47 +96,13 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(_as_square(a), _as_square(b))
 
 
-def tensor_all(factors) -> np.ndarray:
-    """Left-fold of :func:`tensor` over a sequence of factors."""
-    mats = list(factors)
-    if not mats:
-        raise ValueError("need at least one factor")
-    return reduce(tensor, mats)
-
-
-def embed_one(u, qubit: int, n: int) -> np.ndarray:
-    """Embed a single-qubit operator at a slot of an n-qubit register.
-
-    Two Kronecker products with block identities; bit-identical to folding
-    :func:`tensor` over n single-qubit factors.
-    """
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for n={n}")
-    return tensor(tensor(identity(2**qubit), u), identity(2 ** (n - qubit - 1)))
-
-
 def frobenius_distance(a, b) -> float:
-    """Frobenius norm of a - b."""
+    """Frobenius norm of a - b; a NaN or inf entry makes it non-finite, a ValueError."""
     a, b = _as_square(a), _as_square(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     with np.errstate(invalid="ignore", over="ignore"):
-        return _finite_norm(a - b)
-
-
-def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
-    """True if dagger(a) @ a is the identity within tol (Frobenius)."""
-    if tol < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
-    a = _as_square(a)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _finite_norm(a.conj().T @ a - np.eye(a.shape[0])) <= tol
-
-
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    """True if a equals its conjugate transpose within tol (Frobenius)."""
-    if tol < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
-    a = _as_square(a)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _finite_norm(a - a.conj().T) <= tol
+        norm = float(np.linalg.norm(a - b))
+    if not np.isfinite(norm):
+        raise ValueError("matrix contains non-finite entries")
+    return norm

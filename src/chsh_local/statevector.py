@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from . import linalg
-from .descriptors import GateSpec, OutcomeSpec
+from .descriptors import GateSpec, OutcomeSpec, as_index
 from .linalg import MAX_QUBITS
 
 
@@ -46,6 +46,7 @@ def _frozen(v: np.ndarray) -> np.ndarray:
 
 def init_state(n: int) -> StateVector:
     """|0...0> on n qubits."""
+    n = as_index(n, "qubit count")
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
     amplitudes = np.zeros(2**n, dtype=complex)

@@ -11,8 +11,9 @@ the per-record :func:`descriptors.joint_measure` and
 :func:`statevector.outcome_probability`.  Locality checks that gates avoiding
 a watched qubit leave its stored descriptor untouched bit for bit.  These
 are the audits the engine's hot path does not run on every call.  The CLI
-`verify` subcommand and the acceptance tests both run these, so the suite
-parameters and defaults live here, in one place.
+`verify` subcommand, the benchmark and the acceptance tests all run these
+at one circuit size, so a suite takes only a circuit count and a seed: the
+register and depth bounds and the tolerance are the constants below.
 """
 
 from __future__ import annotations
@@ -24,10 +25,15 @@ import numpy as np
 
 from . import descriptors, statevector
 from .descriptors import GateSpec
-from .linalg import DEFAULT_TOL, MAX_QUBITS
+from .linalg import DEFAULT_TOL
 
 #: Joint-measure agreement tolerance between the two pictures.
 EQUIVALENCE_TOL = 1e-9
+
+#: Largest register and deepest circuit a suite draws.  The registers stay
+#: within the dense routes' MAX_QUBITS.
+SUITE_MAX_QUBITS = 4
+SUITE_MAX_DEPTH = 20
 
 #: Default seed for suite circuit generation; fixed so runs are repeatable.
 DEFAULT_SUITE_SEED = 20260816
@@ -44,18 +50,9 @@ class SuiteResult(NamedTuple):
 
 
 def check_circuit_count(n_circuits: int) -> None:
-    """Reject a suite circuit count that would check nothing."""
-    if n_circuits < 1:
+    """Reject a suite circuit count that is not an int or would check nothing."""
+    if descriptors.as_index(n_circuits, "n_circuits") < 1:
         raise ValueError(f"n_circuits must be >= 1, got {n_circuits}")
-
-
-def _check_suite_size(n_circuits: int, max_qubits: int, max_depth: int, min_qubits: int) -> None:
-    """Reject a suite size that would check nothing or leave the dense routes' range."""
-    check_circuit_count(n_circuits)
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    if not min_qubits <= max_qubits <= MAX_QUBITS:
-        raise ValueError(f"max_qubits must be in [{min_qubits}, {MAX_QUBITS}], got {max_qubits}")
 
 
 def random_circuit(
@@ -96,25 +93,21 @@ def _record(qubits: list[int], j: int) -> list[tuple[int, int]]:
 
 
 def picture_equivalence_suite(
-    n_circuits: int = 1000,
-    max_qubits: int = 4,
-    max_depth: int = 20,
-    tol: float = EQUIVALENCE_TOL,
-    seed: int = DEFAULT_SUITE_SEED,
+    n_circuits: int = 1000, seed: int = DEFAULT_SUITE_SEED
 ) -> SuiteResult:
     """Compare descriptor measures against the oracle on random circuits.
 
-    For each circuit, every full joint outcome (all 2**n of them, on qubits
-    0..n-1) and every single-qubit marginal is computed by both routes, one
-    batch call per route and qubit order; any deviation beyond `tol` is a
-    failure.  Every multi-qubit record is also evaluated by the engine in
+    Each circuit has 1 to SUITE_MAX_QUBITS qubits and 1 to SUITE_MAX_DEPTH
+    gates.  Every full joint outcome (all 2**n of them, on qubits 0..n-1)
+    and every single-qubit marginal is computed by both routes, one batch
+    call per route and qubit order; any deviation beyond EQUIVALENCE_TOL is
+    a failure.  Every multi-qubit record is also evaluated by the engine in
     reversed order (one more batch call on the reversed qubits), and a
     change beyond the default tolerance is a failure as well: the order
-    independence of commuting projectors.
-    `n_circuits` and `max_depth` must be at least 1 and `max_qubits` in
-    [1, MAX_QUBITS]; anything else is a ValueError.
+    independence of commuting projectors.  `n_circuits` must be an int of at
+    least 1; anything else is a ValueError.
     """
-    _check_suite_size(n_circuits, max_qubits, max_depth, min_qubits=1)
+    check_circuit_count(n_circuits)
     rng = np.random.default_rng(seed)
     failures = 0
     checked = 0
@@ -122,8 +115,8 @@ def picture_equivalence_suite(
     worst = ""
     order_failures = []
     for index in range(n_circuits):
-        n = int(rng.integers(1, max_qubits + 1))
-        depth = int(rng.integers(1, max_depth + 1))
+        n = int(rng.integers(1, SUITE_MAX_QUBITS + 1))
+        depth = int(rng.integers(1, SUITE_MAX_DEPTH + 1))
         gates = random_circuit(rng, n, depth)
         net = descriptors.apply_circuit(descriptors.init_network(n), gates)
         state = statevector.run_circuit(n, gates)
@@ -146,44 +139,39 @@ def picture_equivalence_suite(
                     order_failures.append(
                         f"circuit {index}, outcomes {_record(qubits, j)} by {order_gap:.3e}"
                     )
-                if deviation > tol or order_gap > DEFAULT_TOL:
+                if deviation > EQUIVALENCE_TOL or order_gap > DEFAULT_TOL:
                     failures += 1
     detail = (
         f"{checked} joint measures across {n_circuits} circuits, "
         f"max deviation {max_deviation:.3e}, {len(order_failures)} order failures"
     )
-    if max_deviation > tol:
+    if max_deviation > EQUIVALENCE_TOL:
         detail += f"; worst at {worst}"
     if order_failures:
         detail += f"; reversed order changed {order_failures[0]}"
     return SuiteResult(failures == 0, checked, failures, max_deviation, detail)
 
 
-def locality_suite(
-    n_circuits: int = 500,
-    max_qubits: int = 4,
-    max_depth: int = 20,
-    seed: int = DEFAULT_SUITE_SEED + 1,
-) -> SuiteResult:
+def locality_suite(n_circuits: int = 500, seed: int = DEFAULT_SUITE_SEED + 1) -> SuiteResult:
     """Audit descriptor locality against random remote circuits.
 
-    Each trial draws a prelude of gates anywhere (so the watched descriptor
-    is generally nontrivial) and a remote circuit avoiding the watched
+    Each trial draws 2 to SUITE_MAX_QUBITS qubits (a remote circuit needs a
+    qubit besides the watched one), a prelude of up to SUITE_MAX_DEPTH gates
+    anywhere (so the watched descriptor is generally nontrivial) and a
+    remote circuit of 1 to SUITE_MAX_DEPTH gates avoiding the watched
     qubit; its stored sums must come back exactly unchanged and must match
-    recomputation from the whole circuit's unitary.  `n_circuits` and
-    `max_depth` must be at least 1 and `max_qubits` in [2, MAX_QUBITS]
-    (a remote circuit needs a qubit besides the watched one); anything else
-    is a ValueError.
+    recomputation from the whole circuit's unitary.  `n_circuits` must be
+    an int of at least 1; anything else is a ValueError.
     """
-    _check_suite_size(n_circuits, max_qubits, max_depth, min_qubits=2)
+    check_circuit_count(n_circuits)
     rng = np.random.default_rng(seed)
     failures = 0
     for _ in range(n_circuits):
-        n = int(rng.integers(2, max_qubits + 1))
+        n = int(rng.integers(2, SUITE_MAX_QUBITS + 1))
         watched = int(rng.integers(n))
         others = tuple(k for k in range(n) if k != watched)
-        prelude_depth = int(rng.integers(0, max_depth + 1))
-        remote_depth = int(rng.integers(1, max_depth + 1))
+        prelude_depth = int(rng.integers(0, SUITE_MAX_DEPTH + 1))
+        remote_depth = int(rng.integers(1, SUITE_MAX_DEPTH + 1))
         prelude = random_circuit(rng, n, prelude_depth)
         remote_ops = random_circuit(rng, n, remote_depth, allowed=others)
         if not descriptors.locality_audit(n, prelude, watched, remote_ops):

@@ -70,7 +70,7 @@ def test_criterion_03_quantum_value_dual_route():
     worst = 0.0
     for q in QUESTION_PAIRS:
         oracle = game.oracle_win_probability(p.alice_angle(q.qa), p.bob_angle(q.qb), q)
-        engine = game.descriptor_win_measure(p, q)
+        engine = game.branch_tree(p, q).win_measure()
         worst = max(worst, abs(oracle - QUANTUM_WIN_RATE), abs(engine - QUANTUM_WIN_RATE))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 1.0
@@ -123,10 +123,11 @@ def test_criterion_05_branching_measures():
 
 def test_criterion_06_locality_suite():
     t0 = time.perf_counter()
-    result = verify.locality_suite(n_circuits=500, max_qubits=4, max_depth=20)
+    result = verify.locality_suite(n_circuits=500)
     elapsed = time.perf_counter() - t0
     ok = (
-        result.passed
+        (verify.SUITE_MAX_QUBITS, verify.SUITE_MAX_DEPTH) == (4, 20)
+        and result.passed
         and result.checked == 500
         and result.detail == "500 remote circuits audited, 0 locality violations"
         and elapsed < 60.0
@@ -136,12 +137,11 @@ def test_criterion_06_locality_suite():
 
 def test_criterion_07_picture_equivalence():
     t0 = time.perf_counter()
-    result = verify.picture_equivalence_suite(
-        n_circuits=1000, max_qubits=4, max_depth=20, tol=1e-9
-    )
+    result = verify.picture_equivalence_suite(n_circuits=1000)
     elapsed = time.perf_counter() - t0
     ok = (
-        result.passed
+        (verify.SUITE_MAX_QUBITS, verify.SUITE_MAX_DEPTH, verify.EQUIVALENCE_TOL) == (4, 20, 1e-9)
+        and result.passed
         and result.max_deviation <= 1e-9
         and result.detail == (
             "12248 joint measures across 1000 circuits, "

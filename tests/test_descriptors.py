@@ -16,6 +16,9 @@ from chsh_local.game import QUESTION_PAIRS
 
 BELL_PREP = [GateSpec.h(0), GateSpec.cnot(0, 1)]
 
+#: CNOT(0, 1) on two qubits: the control, qubit 0, is the leftmost factor.
+CNOT_01 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
 
 def bell_network():
     return descriptors.apply_circuit(descriptors.init_network(2), BELL_PREP)
@@ -59,9 +62,9 @@ class TestGateSpec:
 
 class TestEmbeddedGate:
     def test_cnot_matches_constant(self):
-        assert np.array_equal(
-            descriptors.embedded_gate(GateSpec.cnot(0, 1), 2), linalg.CNOT
-        )
+        cnot = descriptors.embedded_gate(GateSpec.cnot(0, 1), 2)
+        assert np.array_equal(cnot, CNOT_01)
+        assert np.array_equal(cnot @ cnot, linalg.identity(4))
 
     def test_reversed_cnot(self):
         # Control on qubit 1: swaps |01> and |11> (indices 1 and 3).
@@ -78,14 +81,39 @@ class TestEmbeddedGate:
             linalg.tensor(linalg.identity(2), linalg.H),
         )
 
+    def test_qubit_zero_is_the_leftmost_factor(self):
+        assert np.array_equal(
+            descriptors.embedded_gate(GateSpec.x(0), 2), linalg.tensor(linalg.X, linalg.identity(2))
+        )
+        assert np.array_equal(
+            descriptors.embedded_gate(GateSpec.x(1), 2), linalg.tensor(linalg.identity(2), linalg.X)
+        )
+
+    def test_single_qubit_gate_matches_the_block_identity_form(self):
+        # The n-factor fold equals I(2**k) (x) u (x) I(2**(n-k-1)) bit for bit.
+        for name, theta in (("X", None), ("Y", None), ("Z", None), ("H", None), ("ROTY", 0.37)):
+            u = linalg.single_qubit_gate(name, theta)
+            for n in range(1, 6):
+                for k in range(n):
+                    block = np.kron(np.kron(np.eye(2**k), u), np.eye(2 ** (n - k - 1)))
+                    embedded = descriptors.embedded_gate(GateSpec(name, (k,), theta), n)
+                    assert embedded.dtype == block.dtype
+                    assert np.array_equal(embedded, block)
+
+    def test_out_of_range_target_is_rejected(self):
+        with pytest.raises(ValueError, match="out of range for n=2"):
+            descriptors.embedded_gate(GateSpec.x(2), 2)
+        with pytest.raises(ValueError, match="out of range for n=2"):
+            descriptors.embedded_gate(GateSpec.cnot(0, 2), 2)
+
 
 class TestInitNetwork:
     def test_fresh_descriptors_are_embedded_paulis(self):
         net = descriptors.init_network(2)
         qx0 = descriptors.to_dense(net.descriptors[0].qx, 2)
         qz1 = descriptors.to_dense(net.descriptors[1].qz, 2)
-        assert np.array_equal(qx0, linalg.embed_one(linalg.X, 0, 2))
-        assert np.array_equal(qz1, linalg.embed_one(linalg.Z, 1, 2))
+        assert np.array_equal(qx0, descriptors.embedded_gate(GateSpec.x(0), 2))
+        assert np.array_equal(qz1, descriptors.embedded_gate(GateSpec.z(1), 2))
         assert np.array_equal(descriptors.cumulative_unitary(2, []), linalg.identity(4))
 
     def test_fresh_network_measures(self):
@@ -150,7 +178,7 @@ def dense_qy(net, qubit):
 class TestQyDerived:
     def test_fresh_qy_is_embedded_y(self):
         net = descriptors.init_network(2)
-        assert np.allclose(dense_qy(net, 1), linalg.embed_one(linalg.Y, 1, 2))
+        assert np.allclose(dense_qy(net, 1), descriptors.embedded_gate(GateSpec.y(1), 2))
 
     def test_hadamard_flips_qy_sign(self):
         # H Y H = -Y.
@@ -221,8 +249,9 @@ class TestAuditRoute:
                 reference_dagger = linalg.dagger(reference)
                 for k in range(n):
                     qx, qz = descriptors.recomputed_components(n, gates, k)
-                    for got, pauli in ((qx, linalg.X), (qz, linalg.Z)):
-                        expected = reference_dagger @ linalg.embed_one(pauli, k, n) @ reference
+                    for got, pauli in ((qx, GateSpec.x(k)), (qz, GateSpec.z(k))):
+                        embedded = descriptors.embedded_gate(pauli, n)
+                        expected = reference_dagger @ embedded @ reference
                         assert np.allclose(got, expected, atol=1e-12)
         assert {("CNOT", True), ("CNOT", False)} <= seen
         assert {name for name, _ in seen} == set(descriptors.GATE_NAMES)
@@ -239,7 +268,13 @@ class TestPauliSums:
         def dense(*args, **kwargs):
             raise AssertionError("dense linalg call on the engine path")
 
-        for name in ("matmul", "tensor", "embed_one"):
+        defined = [
+            name
+            for name, value in vars(linalg).items()
+            if callable(value) and getattr(value, "__module__", None) == linalg.__name__
+        ]
+        assert {"identity", "single_qubit_gate", "dagger", "frobenius_distance"} <= set(defined)
+        for name in defined:
             monkeypatch.setattr(linalg, name, dense)
         for q in QUESTION_PAIRS:
             assert game.branch_tree(p, q).win_measure() == pytest.approx(
@@ -325,6 +360,61 @@ class TestJointMeasure:
                 descriptors.record_measures(bell_network(), [0, bad])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: descriptors.OutcomeSpec.checked((1.7, 0), 2), "qubit must be an int, got 1.7"),
+        (lambda: descriptors.OutcomeSpec.checked((True, 0), 2), "qubit must be an int, got True"),
+        (lambda: descriptors.OutcomeSpec.checked((1, 1.0), 2), "outcome must be an int, got 1.0"),
+        (
+            lambda: descriptors.record_measures(bell_network(), [0.5, 1]),
+            "qubit must be an int, got 0.5",
+        ),
+        (
+            lambda: statevector.outcome_probability(statevector.run_circuit(2, []), [(0.9, 0)]),
+            "qubit must be an int, got 0.9",
+        ),
+        (lambda: GateSpec("X", (1.5,)), "target must be an int, got 1.5"),
+        (lambda: GateSpec("X", (True,)), "target must be an int, got True"),
+        (lambda: descriptors.recomputed_components(2, [], 0.5), "qubit must be an int, got 0.5"),
+        (lambda: descriptors.init_network(2.5), "qubit count must be an int, got 2.5"),
+        (lambda: statevector.init_state(True), "qubit count must be an int, got True"),
+        (lambda: verify.check_circuit_count(2.5), "n_circuits must be an int, got 2.5"),
+        (
+            lambda: game.strategy_win_rate(game.DeterministicStrategy(True, False, 0, 1)),
+            "strategy bit 0 must be an int, got True",
+        ),
+        (
+            lambda: game.win_predicate(game.QuestionPair(0, 0), 1.0, 0),
+            "aa must be an int, got 1.0",
+        ),
+    ],
+    ids=[
+        "outcome-float-qubit",
+        "outcome-bool-qubit",
+        "outcome-float-bit",
+        "record-float-qubit",
+        "oracle-float-qubit",
+        "gate-float-target",
+        "gate-bool-target",
+        "audit-float-qubit",
+        "network-float-size",
+        "oracle-bool-size",
+        "float-circuit-count",
+        "bool-strategy-bit",
+        "float-answer-bit",
+    ],
+)
+def test_non_int_indices_are_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_numpy_integers_are_indices():
+    assert descriptors.OutcomeSpec.checked((np.int64(1), np.uint8(0)), 2) == (1, 0)
+    assert type(GateSpec("X", (np.int64(1),)).targets[0]) is int
+
+
 class TestConditionalMeasure:
     def test_bell_conditional_is_certain(self):
         net = bell_network()
@@ -399,7 +489,9 @@ def circuits(draw):
 def test_random_circuit_invariants(circuit):
     n, gates = circuit
     net = descriptors.apply_circuit(descriptors.init_network(n), gates)
-    assert linalg.is_unitary(descriptors.cumulative_unitary(n, gates))
+    u = descriptors.cumulative_unitary(n, gates)
+    unitarity_gap = linalg.frobenius_distance(linalg.dagger(u) @ u, linalg.identity(2**n))
+    assert unitarity_gap <= linalg.DEFAULT_TOL
     for qubit in range(n):
         p0 = descriptors.branch_measure(net, (qubit, 0))
         p1 = descriptors.branch_measure(net, (qubit, 1))

@@ -162,7 +162,7 @@ class TestQuantumProtocol:
     def test_descriptor_route_agrees_with_oracle(self):
         p = game.default_protocol()
         for q in QUESTION_PAIRS:
-            engine = game.descriptor_win_measure(p, q)
+            engine = game.branch_tree(p, q).win_measure()
             oracle = game.oracle_win_probability(p.alice_angle(q.qa), p.bob_angle(q.qb), q)
             assert engine == pytest.approx(oracle, abs=1e-12)
 

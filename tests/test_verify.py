@@ -82,9 +82,6 @@ def test_locality_suite_catches_a_rewritten_non_target(monkeypatch):
     [
         ({"n_circuits": 0}, "n_circuits must be >= 1, got 0"),
         ({"n_circuits": -5}, "n_circuits must be >= 1, got -5"),
-        ({"max_depth": 0}, "max_depth must be >= 1, got 0"),
-        ({"max_qubits": MAX_QUBITS + 1}, rf"\[\d, {MAX_QUBITS}\], got {MAX_QUBITS + 1}"),
-        ({"max_qubits": 0}, rf"max_qubits must be in \[\d, {MAX_QUBITS}\], got 0"),
     ],
 )
 def test_suites_reject_sizes_that_check_nothing(suite, kwargs, message):
@@ -93,6 +90,7 @@ def test_suites_reject_sizes_that_check_nothing(suite, kwargs, message):
 
 
 def test_locality_suite_needs_two_qubits():
-    with pytest.raises(ValueError, match=rf"max_qubits must be in \[2, {MAX_QUBITS}\], got 1"):
-        verify.locality_suite(max_qubits=1)
-    assert verify.picture_equivalence_suite(n_circuits=3, max_qubits=1).passed
+    # A remote circuit needs a qubit besides the watched one, and every
+    # register a suite draws must fit the dense routes.
+    assert 2 <= verify.SUITE_MAX_QUBITS <= MAX_QUBITS
+    assert verify.SUITE_MAX_DEPTH >= 1
