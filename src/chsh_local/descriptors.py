@@ -31,23 +31,24 @@ history, the expectation of a projector in the reference state.  As
 strings with no X bit.  A joint record's measure folds its outcome
 projectors into one sum; :func:`record_measures` folds all 2**k records on
 k qubits depth first, so records sharing a prefix share its fold steps, and
-:func:`joint_measure` walks one path through the same steps.  The
-state-vector oracle in
-:mod:`chsh_local.statevector` is a second, independent route to every such
-number (the two share gate-matrix constants, no application code), and
-:mod:`chsh_local.verify` runs the audits.  A network holds only its
-descriptors, so the audits' dense route, capped at ``MAX_QUBITS``, takes the
-circuit it audits as an argument.  :func:`cumulative_unitary` applies each
-gate to the unitary's rows (a 2x2 mix of row pairs, or a row permutation
-for CNOT), and :func:`recomputed_components` conjugates the initial Paulis
-by it, sharing nothing with the update rule.  No embedded gate matrix is
-formed; :func:`embedded_gate` builds one by folding :func:`linalg.tensor`
-over its n single-qubit factors, as the tests' Kronecker reference.
+:func:`joint_measure` reads one record's entry from it.  The state-vector
+oracle in :mod:`chsh_local.statevector` is a second, independent route to
+every such number (the two share gate-matrix constants, no application
+code), and :mod:`chsh_local.verify` runs the audits.  A network holds only
+its descriptors, so the audits' dense route, capped at ``MAX_QUBITS``, takes
+the circuit it audits as an argument.  :func:`cumulative_unitary` applies
+each gate to the unitary's rows (a 2x2 mix of row pairs, or a row
+permutation for CNOT), and :func:`recomputed_components` conjugates the
+initial Paulis by it, sharing nothing with the update rule.  No embedded
+gate matrix is formed; :func:`embedded_gate` builds one by folding
+:func:`linalg.tensor` over its n single-qubit factors, as the tests'
+Kronecker reference.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -83,9 +84,6 @@ GATE_NAMES = _SINGLE_QUBIT_GATES + ("CNOT",)
 
 #: A descriptor component: read-only {(x_bits, z_bits): coeff}.
 PauliSum = Mapping[tuple[int, int], float]
-
-#: The identity as a Pauli sum: where every outcome-record fold starts.
-_IDENTITY: PauliSum = MappingProxyType({(0, 0): 1.0})
 
 
 def as_index(value, name: str) -> int:
@@ -123,8 +121,9 @@ class GateSpec:
         if min(targets) < 0:
             raise ValueError(f"targets must be >= 0, got {targets}")
         if self.name == "ROTY":
-            if self.theta is None or not np.isfinite(self.theta):
-                raise ValueError(f"ROTY needs a finite angle, got {self.theta}")
+            real = isinstance(self.theta, numbers.Real) and not isinstance(self.theta, bool)
+            if not (real and math.isfinite(self.theta)):
+                raise ValueError(f"ROTY needs a finite real angle, got {self.theta!r}")
         elif self.theta is not None:
             raise ValueError(f"{self.name} takes no angle")
 
@@ -166,7 +165,11 @@ class OutcomeSpec(NamedTuple):
     @classmethod
     def checked(cls, o, n: int) -> "OutcomeSpec":
         """A (qubit, outcome) pair as an OutcomeSpec, checked against an n-qubit register."""
-        qubit, outcome = as_index(o[0], "qubit"), as_index(o[1], "outcome")
+        try:
+            qubit, outcome = o
+        except (TypeError, ValueError):
+            raise ValueError(f"an outcome must be a (qubit, outcome) pair, got {o!r}") from None
+        qubit, outcome = as_index(qubit, "qubit"), as_index(outcome, "outcome")
         if not 0 <= qubit < n:
             raise ValueError(f"qubit {qubit} out of range for n={n}")
         if outcome not in (0, 1):
@@ -188,23 +191,32 @@ class OutcomeSpec(NamedTuple):
             raise ValueError(f"outcome qubits must be distinct, got {qubits}")
         return specs
 
+    @staticmethod
+    def record_index(specs) -> int:
+        """Index of a checked record among the 2**k records on its qubits.
+
+        The record's outcome bits, first spec most significant, spell it:
+        the entry order of :func:`record_measures` and
+        :func:`chsh_local.statevector.record_probabilities`.
+        """
+        return reduce(lambda index, s: (index << 1) | s.outcome, specs, 0)
+
 
 @dataclass(frozen=True)
 class Descriptor:
     """Evolved Pauli generator pair of one qubit, each a Pauli sum."""
 
-    qubit_id: int
     qx: PauliSum
     qz: PauliSum
 
     def __reduce__(self):
         # A MappingProxyType cannot be pickled or deep-copied: send plain
         # dicts and freeze them again on the way back.
-        return _frozen_descriptor, (self.qubit_id, dict(self.qx), dict(self.qz))
+        return _frozen_descriptor, (dict(self.qx), dict(self.qz))
 
 
-def _frozen_descriptor(qubit_id: int, qx: dict, qz: dict) -> Descriptor:
-    return Descriptor(qubit_id, MappingProxyType(qx), MappingProxyType(qz))
+def _frozen_descriptor(qx: dict, qz: dict) -> Descriptor:
+    return Descriptor(MappingProxyType(qx), MappingProxyType(qz))
 
 
 @dataclass(frozen=True)
@@ -230,7 +242,7 @@ def cumulative_unitary(n: int, gates: Iterable[GateSpec]) -> np.ndarray:
     (2**k, 2, -1)), and CNOT(c, t) flips bit n-1-t of the rows whose bit
     n-1-c is set.
     """
-    _check_dense(n)
+    n = _check_dense(n)
     dim = 2**n
     rows = np.arange(dim)
     unitary = linalg.identity(dim)
@@ -245,9 +257,12 @@ def cumulative_unitary(n: int, gates: Iterable[GateSpec]) -> np.ndarray:
     return unitary
 
 
-def _check_dense(n: int) -> None:
-    if n > MAX_QUBITS:
-        raise ValueError(f"the dense audit route handles at most {MAX_QUBITS} qubits, got {n}")
+def _check_dense(n) -> int:
+    """A dense-route qubit count as a plain int in [1, MAX_QUBITS]."""
+    n = as_index(n, "qubit count")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"the dense audit route takes a qubit count in [1, {MAX_QUBITS}], got {n}")
+    return n
 
 
 def embedded_gate(g: GateSpec, n: int) -> np.ndarray:
@@ -256,7 +271,7 @@ def embedded_gate(g: GateSpec, n: int) -> np.ndarray:
     The reference that tests compare the audit route's row updates against;
     no program path calls it.
     """
-    _check_dense(n)
+    n = _check_dense(n)
     g.validate_for(n)
     factors = [linalg.identity(2)] * n
     if g.name != "CNOT":
@@ -271,7 +286,7 @@ def embedded_gate(g: GateSpec, n: int) -> np.ndarray:
 
 def to_dense(component: PauliSum, n: int) -> np.ndarray:
     """Dense 2**n matrix of a Pauli sum on n qubits (audit route only)."""
-    _check_dense(n)
+    n = _check_dense(n)
     dim = 2**n
     cols = np.arange(dim)
     m = np.zeros((dim, dim), dtype=complex)
@@ -328,7 +343,6 @@ def init_network(n: int) -> DescriptorNetwork:
         )
     descriptors = tuple(
         Descriptor(
-            qubit_id=k,
             qx=MappingProxyType({(1 << (n - 1 - k), 0): 1.0}),
             qz=MappingProxyType({(0, 1 << (n - 1 - k)): 1.0}),
         )
@@ -366,14 +380,14 @@ def apply_gate(net: DescriptorNetwork, g: GateSpec) -> DescriptorNetwork:
         c, t = g.targets
         dc, dt = net.descriptors[c], net.descriptors[t]
         updated = {
-            c: Descriptor(qubit_id=c, qx=_product(dc.qx, dt.qx), qz=dc.qz),
-            t: Descriptor(qubit_id=t, qx=dt.qx, qz=_product(dc.qz, dt.qz)),
+            c: Descriptor(qx=_product(dc.qx, dt.qx), qz=dc.qz),
+            t: Descriptor(qx=dt.qx, qz=_product(dc.qz, dt.qz)),
         }
     else:
         (k,) = g.targets
         d = net.descriptors[k]
         qx, qz = _single_qubit_update(g, d.qx, d.qz)
-        updated = {k: Descriptor(qubit_id=k, qx=qx, qz=qz)}
+        updated = {k: Descriptor(qx=qx, qz=qz)}
     descriptors = tuple(updated.get(k, d) for k, d in enumerate(net.descriptors))
     return DescriptorNetwork(n=net.n, descriptors=descriptors)
 
@@ -394,12 +408,6 @@ def branch_measure(net: DescriptorNetwork, o) -> float:
     o = OutcomeSpec.checked(o, net.n)
     sign = 1.0 if o.outcome == 0 else -1.0
     return (1.0 + sign * _reference_expectation(net.descriptors[o.qubit].qz)) / 2.0
-
-
-def _child(m: PauliSum, mq: PauliSum, outcome: int) -> PauliSum:
-    """One fold step M <- (M + sign M qz) / 2, given the product mq = M qz."""
-    sign = 1.0 if outcome == 0 else -1.0
-    return _combine((0.5, m), (0.5 * sign, mq))
 
 
 def _last_reads(m: PauliSum, qz: PauliSum) -> tuple[float, float]:
@@ -430,35 +438,27 @@ def _last_reads(m: PauliSum, qz: PauliSum) -> tuple[float, float]:
 def joint_measure(net: DescriptorNetwork, outcomes) -> float:
     """Measure of a joint outcome record on distinct qubits (1 if empty).
 
-    Folds the outcome projectors into one Pauli sum, M <- (M + sign M qz) / 2
-    from M = I, and reads <0...0| M |0...0>: one path of the fold that
-    :func:`record_measures` walks in full, through the same steps.  The
-    projectors commute, so order is irrelevant; the picture equivalence
-    suite checks both orders.
+    The record's entry of :func:`record_measures` on its qubits, in record
+    order.  The projectors commute, so order is irrelevant; the picture
+    equivalence suite checks both orders.
     """
     specs = OutcomeSpec.checked_record(outcomes, net.n)
-    if not specs:
-        return 1.0
-    m = _IDENTITY
-    for s in specs[:-1]:
-        qz = net.descriptors[s.qubit].qz
-        m = _child(m, _product(m, qz), s.outcome)
-    last = specs[-1]
-    return _last_reads(m, net.descriptors[last.qubit].qz)[last.outcome]
+    return record_measures(net, [s.qubit for s in specs])[OutcomeSpec.record_index(specs)]
 
 
 def record_measures(net: DescriptorNetwork, qubits) -> tuple[float, ...]:
     """Measures of all 2**k outcome records on k distinct qubits ((1.0,) if none).
 
-    Entry j is :func:`joint_measure` of the record whose outcome bits,
-    qubits[0] most significant, spell j, and is bit-identical to it.  The
-    fold runs depth first from M = I: each node forms M qz once for both
-    children, and the last step reads both outcomes from one x1 == x2
-    product, so shared record prefixes are folded once.
+    Entry j is the measure of the record whose outcome bits, qubits[0] most
+    significant, spell j: <0...0| M |0...0> for the outcome projectors
+    folded into one Pauli sum, M <- (M + sign M qz) / 2 from M = I.  The
+    fold runs depth first: each node forms M qz once for both children, and
+    the last step reads both outcomes from one x1 == x2 product, so shared
+    record prefixes are folded once.
     """
     specs = OutcomeSpec.checked_record([(q, 0) for q in qubits], net.n)
     qzs = [net.descriptors[s.qubit].qz for s in specs]
-    return _fold_records(_IDENTITY, qzs) if qzs else (1.0,)
+    return _fold_records({(0, 0): 1.0}, qzs) if qzs else (1.0,)
 
 
 def _fold_records(m: PauliSum, qzs: list[PauliSum]) -> tuple[float, ...]:
@@ -466,15 +466,13 @@ def _fold_records(m: PauliSum, qzs: list[PauliSum]) -> tuple[float, ...]:
     if len(qzs) == 1:
         return _last_reads(m, qzs[0])
     mq = _product(m, qzs[0])
-    return _fold_records(_child(m, mq, 0), qzs[1:]) + _fold_records(_child(m, mq, 1), qzs[1:])
+    zero, one = _combine((0.5, m), (0.5, mq)), _combine((0.5, m), (-0.5, mq))
+    return _fold_records(zero, qzs[1:]) + _fold_records(one, qzs[1:])
 
 
 def conditional_measure(net: DescriptorNetwork, given, then) -> float:
     """Share of the `given` branch that also carries the `then` record."""
-    given = OutcomeSpec.checked(given, net.n)
-    then = OutcomeSpec.checked(then, net.n)
-    if given.qubit == then.qubit:
-        raise ValueError(f"conditional outcomes must be on distinct qubits, got {given.qubit}")
+    given, then = OutcomeSpec.checked_record([given, then], net.n)
     base = branch_measure(net, given)
     if base <= ZERO_MEASURE:
         raise ValueError(
@@ -493,7 +491,7 @@ def recomputed_components(
     with the rows whose bit n-1-k is set negated; one product by dagger(U)
     each.
     """
-    qubit = as_index(qubit, "qubit")
+    n, qubit = _check_dense(n), as_index(qubit, "qubit")
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for n={n}")
     u = cumulative_unitary(n, gates)

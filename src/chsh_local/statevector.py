@@ -12,7 +12,7 @@ vector to shape (2,) * n, axis k belongs to qubit k directly.  Outcome
 probabilities are Born-rule sums of |amplitude|**2 over the basis states
 consistent with a record; :func:`record_probabilities` forms the squared
 amplitudes and each basis state's outcome code once for all 2**k records
-on k qubits, and :func:`outcome_probability` is its one-record case.
+on k qubits, and :func:`outcome_probability` reads one of its entries.
 """
 
 from __future__ import annotations
@@ -96,44 +96,30 @@ def run_circuit(n: int, gates: Iterable[GateSpec]) -> StateVector:
     return apply_circuit_sv(init_state(n), gates)
 
 
-def _record_sums(state: StateVector, qubits: list[int], codes) -> tuple[float, ...]:
-    """Probabilities of the records on `qubits` whose outcome codes are `codes`.
-
-    A basis index's outcome code spells its bits on `qubits`, qubits[0] most
-    significant; each record's probability sums |amplitude|**2 over the
-    indices with its code.
-    """
-    probs = np.abs(state.amplitudes) ** 2
-    indices = np.arange(state.dim)
-    code = np.zeros(state.dim, dtype=indices.dtype)
-    for q in qubits:
-        code = (code << 1) | ((indices >> (state.n - 1 - q)) & 1)
-    # Of a list, not of a generator: see OutcomeSpec.checked_record.
-    return tuple([float(probs[code == j].sum()) for j in codes])
-
-
 def outcome_probability(state: StateVector, outcomes) -> float:
     """Probability of a joint z-basis outcome record on distinct qubits.
 
-    Sums |amplitude|**2 over every basis state consistent with the record:
-    the one-record case of :func:`record_probabilities`.  An empty record
-    has probability 1.
+    The record's entry of :func:`record_probabilities` on its qubits, in
+    record order.  An empty record has probability 1.
     """
     specs = OutcomeSpec.checked_record(outcomes, state.n)
-    code = 0
-    for s in specs:
-        code = (code << 1) | s.outcome
-    return _record_sums(state, [s.qubit for s in specs], [code])[0]
+    return record_probabilities(state, [s.qubit for s in specs])[OutcomeSpec.record_index(specs)]
 
 
 def record_probabilities(state: StateVector, qubits) -> tuple[float, ...]:
     """Probabilities of all 2**k outcome records on k distinct qubits ((1.0,) if none).
 
-    Entry j is :func:`outcome_probability` of the record whose outcome bits,
-    qubits[0] most significant, spell j, and is bit-identical to it:
-    |amplitude|**2 and each index's outcome code are formed once, and each
-    record sums the same entries in the same order as a per-record mask
-    would.
+    Entry j is the probability of the record whose outcome bits, qubits[0]
+    most significant, spell j: |amplitude|**2 summed over the basis indices
+    whose bits on `qubits` spell j.  |amplitude|**2 and each index's outcome
+    code are formed once, and each record sums the same entries in the same
+    order as a per-record mask would.
     """
     specs = OutcomeSpec.checked_record([(q, 0) for q in qubits], state.n)
-    return _record_sums(state, [s.qubit for s in specs], range(2 ** len(specs)))
+    probs = np.abs(state.amplitudes) ** 2
+    indices = np.arange(state.dim)
+    code = np.zeros(state.dim, dtype=indices.dtype)
+    for s in specs:
+        code = (code << 1) | ((indices >> (state.n - 1 - s.qubit)) & 1)
+    # Of a list, not of a generator: see OutcomeSpec.checked_record.
+    return tuple([float(probs[code == j].sum()) for j in range(2 ** len(specs))])

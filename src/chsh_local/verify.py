@@ -6,9 +6,9 @@ compares every joint outcome measure with the state-vector oracle and
 checks that each multi-qubit record gives the same measure in reversed
 order (the outcome projectors commute).  It takes each qubit order's
 records from one batch call per route, :func:`descriptors.record_measures`
-and :func:`statevector.record_probabilities`, each entry bit-identical to
-the per-record :func:`descriptors.joint_measure` and
-:func:`statevector.outcome_probability`.  Locality checks that gates avoiding
+and :func:`statevector.record_probabilities`; the single-record
+:func:`descriptors.joint_measure` and :func:`statevector.outcome_probability`
+read their entries from these.  Locality checks that gates avoiding
 a watched qubit leave its stored descriptor untouched bit for bit.  These
 are the audits the engine's hot path does not run on every call.  The CLI
 `verify` subcommand, the benchmark and the acceptance tests all run these

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,21 @@ class TestGateSpec:
             GateSpec("ROTY", (0,), float("nan"))
         with pytest.raises(ValueError):
             GateSpec("X", (0,), 0.3)
+
+    @pytest.mark.parametrize(
+        "theta",
+        [True, np.True_, "1.0", 1j, np.inf],
+        ids=["bool", "numpy-bool", "str", "complex", "inf"],
+    )
+    def test_roty_angle_must_be_a_real_number(self, theta):
+        with pytest.raises(ValueError, match=f"ROTY needs a finite real angle, got {theta!r}"):
+            GateSpec("ROTY", (0,), theta)
+
+    def test_real_angles_of_every_numeric_type_are_valid(self):
+        net = descriptors.init_network(1)
+        for theta in (1, 0.5, np.float64(0.5), np.float32(0.5), np.int64(1)):
+            rotated = descriptors.apply_gate(net, GateSpec("ROTY", (0,), theta))
+            assert rotated == descriptors.apply_gate(net, GateSpec.roty(float(theta), 0))
 
     def test_validate_for_range(self):
         GateSpec.cnot(0, 3).validate_for(4)
@@ -137,6 +153,27 @@ class TestInitNetwork:
                 descriptors.cumulative_unitary(wide, [])
             with pytest.raises(ValueError, match="dense audit route"):
                 descriptors.recomputed_components(wide, [], 0)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: descriptors.cumulative_unitary(0, []), "dense audit route .* got 0"),
+            (lambda: descriptors.cumulative_unitary(-1, []), "dense audit route .* got -1"),
+            (lambda: descriptors.to_dense({(0, 0): 1.0}, 0), "dense audit route .* got 0"),
+            (
+                lambda: descriptors.recomputed_components(2.0, [], 0),
+                "qubit count must be an int, got 2.0",
+            ),
+            (
+                lambda: descriptors.locality_audit(2.0, [], 0, [GateSpec.x(1)]),
+                "qubit count must be an int, got 2.0",
+            ),
+        ],
+        ids=["unitary-zero", "unitary-negative", "dense-zero", "audit-float", "locality-float"],
+    )
+    def test_dense_route_checks_the_register_size(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_qubit_count_cap(self):
         cap = descriptors.MAX_NETWORK_QUBITS
@@ -358,6 +395,50 @@ class TestJointMeasure:
         for bad in (2, -1):
             with pytest.raises(ValueError, match=f"qubit {bad} out of range for n=2"):
                 descriptors.record_measures(bell_network(), [0, bad])
+
+    def test_single_records_reject_out_of_range_qubits_and_outcomes(self):
+        net = bell_network()
+        with pytest.raises(ValueError, match="qubit 2 out of range for n=2"):
+            descriptors.joint_measure(net, [(0, 0), (2, 0)])
+        with pytest.raises(ValueError, match="outcome must be 0 or 1, got 2"):
+            descriptors.joint_measure(net, [(0, 2)])
+        with pytest.raises(ValueError, match="qubit 2 out of range for n=2"):
+            descriptors.conditional_measure(net, (0, 0), (2, 0))
+        with pytest.raises(ValueError, match="outcome must be 0 or 1, got 2"):
+            descriptors.conditional_measure(net, (0, 2), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "call, got",
+    [
+        (lambda: descriptors.joint_measure(descriptors.init_network(2), [(0, 1, 7)]), "(0, 1, 7)"),
+        (lambda: descriptors.branch_measure(descriptors.init_network(2), (0, 0, 0)), "(0, 0, 0)"),
+        (lambda: descriptors.branch_measure(descriptors.init_network(2), (0,)), "(0,)"),
+        (lambda: descriptors.branch_measure(descriptors.init_network(2), 0), "0"),
+        (lambda: descriptors.joint_measure(descriptors.init_network(2), [1]), "1"),
+        (
+            lambda: descriptors.conditional_measure(bell_network(), (0, 0), (1, 0, 1)),
+            "(1, 0, 1)",
+        ),
+        (
+            lambda: statevector.outcome_probability(statevector.init_state(2), [(0, 1, 7)]),
+            "(0, 1, 7)",
+        ),
+    ],
+    ids=[
+        "joint-triple",
+        "branch-triple",
+        "branch-single",
+        "branch-int",
+        "joint-int",
+        "conditional-triple",
+        "oracle-triple",
+    ],
+)
+def test_malformed_outcomes_are_rejected_by_name(call, got):
+    message = f"an outcome must be a (qubit, outcome) pair, got {got}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize(

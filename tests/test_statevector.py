@@ -101,8 +101,9 @@ def test_record_probabilities_equal_per_record_masked_sums():
         assert len(probabilities) == 2 ** len(qubits)
         for j, bits in enumerate(itertools.product((0, 1), repeat=len(qubits))):
             record = list(zip(qubits, bits))
-            assert probabilities[j] == masked_sum_probability(state, record)
-            assert statevector.outcome_probability(state, record) == probabilities[j]
+            reference = masked_sum_probability(state, record)
+            assert probabilities[j] == reference
+            assert statevector.outcome_probability(state, record) == reference
 
 
 def tensordot_gate(state, g):

@@ -65,7 +65,7 @@ def test_locality_suite_catches_a_rewritten_non_target(monkeypatch):
             if k not in g.targets:
                 key = next(iter(d.qz))
                 qz = MappingProxyType({**d.qz, key: d.qz[key] + nudge})
-                d = descriptors.Descriptor(k, d.qx, qz)
+                d = descriptors.Descriptor(d.qx, qz)
             rewritten.append(d)
         return dataclasses.replace(out, descriptors=tuple(rewritten))
 
