@@ -21,9 +21,12 @@ Every gate above is real orthogonal, so coefficients stay real; products
 follow X^x1 Z^z1 X^x2 Z^z2 = (-1)^popcount(z1 & x2) X^(x1^x2) Z^(z1^z2),
 and only exact zeros are dropped.  A sum of more than :data:`MAX_TERMS`
 strings raises, as does a network of more than :data:`MAX_NETWORK_QUBITS`
-qubits.  Untouched qubits keep their Descriptor objects, so locality
-is a structural property of the data and :func:`locality_audit` demands
-exact equality, not a tolerance.
+qubits.  :func:`apply_circuit` is the engine's one gate loop: it copies the
+descriptors into a list once, rewrites each gate's target entries in place
+and freezes the list at the end, so a circuit costs its gates' updates plus
+one O(n) copy; :func:`apply_gate` is its one-gate case.  Untouched qubits
+keep their Descriptor objects, so locality is a structural property of the
+data and :func:`locality_audit` demands exact equality, not a tolerance.
 
 Outcome statistics are *branch measures*: the squared-amplitude weight of a
 history, the expectation of a projector in the reference state.  As
@@ -96,6 +99,12 @@ def as_index(value, name: str) -> int:
     raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def check_angle(value, name: str) -> None:
+    """Reject an angle that is not a finite real number (a bool is not one), naming it."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} needs a finite real angle, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GateSpec:
     """One gate of a circuit: a name, target qubits, and an optional angle.
@@ -121,9 +130,7 @@ class GateSpec:
         if min(targets) < 0:
             raise ValueError(f"targets must be >= 0, got {targets}")
         if self.name == "ROTY":
-            real = isinstance(self.theta, numbers.Real) and not isinstance(self.theta, bool)
-            if not (real and math.isfinite(self.theta)):
-                raise ValueError(f"ROTY needs a finite real angle, got {self.theta!r}")
+            check_angle(self.theta, "ROTY")
         elif self.theta is not None:
             raise ValueError(f"{self.name} takes no angle")
 
@@ -229,8 +236,12 @@ class DescriptorNetwork:
     new network and never mutates a sum, so networks may evolve in parallel.
     """
 
-    n: int
     descriptors: tuple[Descriptor, ...]
+
+    @property
+    def n(self) -> int:
+        """Register size: the number of descriptors."""
+        return len(self.descriptors)
 
 
 def cumulative_unitary(n: int, gates: Iterable[GateSpec]) -> np.ndarray:
@@ -348,7 +359,7 @@ def init_network(n: int) -> DescriptorNetwork:
         )
         for k in range(n)
     )
-    return DescriptorNetwork(n=n, descriptors=descriptors)
+    return DescriptorNetwork(descriptors=descriptors)
 
 
 def _single_qubit_update(g: GateSpec, qx: PauliSum, qz: PauliSum) -> tuple[PauliSum, PauliSum]:
@@ -366,37 +377,34 @@ def _single_qubit_update(g: GateSpec, qx: PauliSum, qz: PauliSum) -> tuple[Pauli
 
 
 def apply_gate(net: DescriptorNetwork, g: GateSpec) -> DescriptorNetwork:
-    """Apply a gate, rewriting only the targeted qubits' descriptors.
-
-    Each new target descriptor is computed from the targets' current
-    descriptors by the local update rule in the module docstring: sign
-    flips, a swap or a rotation for single-qubit gates, and one Pauli-sum
-    product per changed component for CNOT.  No cumulative unitary is
-    formed.  Non-targets keep their Descriptor objects, object identity
-    included.
-    """
-    g.validate_for(net.n)
-    if g.name == "CNOT":
-        c, t = g.targets
-        dc, dt = net.descriptors[c], net.descriptors[t]
-        updated = {
-            c: Descriptor(qx=_product(dc.qx, dt.qx), qz=dc.qz),
-            t: Descriptor(qx=dt.qx, qz=_product(dc.qz, dt.qz)),
-        }
-    else:
-        (k,) = g.targets
-        d = net.descriptors[k]
-        qx, qz = _single_qubit_update(g, d.qx, d.qz)
-        updated = {k: Descriptor(qx=qx, qz=qz)}
-    descriptors = tuple(updated.get(k, d) for k, d in enumerate(net.descriptors))
-    return DescriptorNetwork(n=net.n, descriptors=descriptors)
+    """Apply one gate: :func:`apply_circuit` on the one-gate circuit ``(g,)``."""
+    return apply_circuit(net, (g,))
 
 
 def apply_circuit(net: DescriptorNetwork, gates: Iterable[GateSpec]) -> DescriptorNetwork:
-    """Fold :func:`apply_gate` over a gate sequence."""
+    """Apply a gate sequence, rewriting only each gate's targets' descriptors.
+
+    Each gate is checked against the register, then its targets' new
+    descriptors are computed from their current ones by the local update
+    rule in the module docstring: sign flips, a swap or a rotation for
+    single-qubit gates, and one Pauli-sum product per changed component for
+    CNOT.  No cumulative unitary is formed.  The descriptors are copied
+    once and frozen at the end, so a gate that raises leaves `net` as it
+    was, and qubits no gate targets keep their Descriptor objects, object
+    identity included.
+    """
+    updated = list(net.descriptors)
     for g in gates:
-        net = apply_gate(net, g)
-    return net
+        g.validate_for(len(updated))
+        if g.name == "CNOT":
+            c, t = g.targets
+            dc, dt = updated[c], updated[t]
+            updated[c] = Descriptor(qx=_product(dc.qx, dt.qx), qz=dc.qz)
+            updated[t] = Descriptor(qx=dt.qx, qz=_product(dc.qz, dt.qz))
+        else:
+            (k,) = g.targets
+            updated[k] = Descriptor(*_single_qubit_update(g, updated[k].qx, updated[k].qz))
+    return DescriptorNetwork(descriptors=tuple(updated))
 
 
 def branch_measure(net: DescriptorNetwork, o) -> float:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -165,9 +165,8 @@ class QuantumProtocol:
     theta_b1: float
 
     def __post_init__(self):
-        angles = (self.theta_a0, self.theta_a1, self.theta_b0, self.theta_b1)
-        if not all(math.isfinite(a) for a in angles):
-            raise ValueError(f"protocol angles must be finite, got {angles}")
+        for field in fields(self):
+            descriptors.check_angle(getattr(self, field.name), field.name)
         for q in QUESTION_PAIRS:
             p_win = oracle_win_probability(self.alice_angle(q.qa), self.bob_angle(q.qb), q)
             if abs(p_win - QUANTUM_WIN_RATE) > PROTOCOL_TOL:
@@ -362,10 +361,15 @@ def redundancy_demo(m: int) -> float:
     witnesses the recombination is perfect (visibility 1); a single copied
     record already makes the branches orthogonal and drives the visibility
     to 0.  Returns |measure(outcome 0) - measure(outcome 1)| on qubit 0.
+
+    m runs from 0 to ``MAX_NETWORK_QUBITS - 1``: the fan-out keeps one Pauli
+    string per sum, and each of its m + 2 gates rewrites only its targets'
+    descriptors, with no copy of the register per gate.
+    :func:`descriptors.init_network` refuses a larger register by name.
     """
     m = descriptors.as_index(m, "witness count")
-    if not 0 <= m <= 10:
-        raise ValueError(f"witness count must be in [0, 10], got {m}")
+    if m < 0:
+        raise ValueError(f"witness count must be >= 0, got {m}")
     gates = [GateSpec.h(0)]
     gates += [GateSpec.cnot(0, witness) for witness in range(1, m + 1)]
     gates += [GateSpec.h(0)]

@@ -116,6 +116,10 @@ def record_probabilities(state: StateVector, qubits) -> tuple[float, ...]:
     order as a per-record mask would.
     """
     specs = OutcomeSpec.checked_record([(q, 0) for q in qubits], state.n)
+    if not specs:
+        # The empty record is certain; the sum of every |amplitude|**2 is
+        # only 1 up to rounding.
+        return (1.0,)
     probs = np.abs(state.amplitudes) ** 2
     indices = np.arange(state.dim)
     code = np.zeros(state.dim, dtype=indices.dtype)

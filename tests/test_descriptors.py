@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import pickle
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -235,7 +236,8 @@ class TestApplyGate:
         # A network is its descriptors: H H returns the fresh network, history and all.
         fresh = descriptors.init_network(1)
         assert descriptors.apply_circuit(fresh, [GateSpec.h(0), GateSpec.h(0)]) == fresh
-        assert [f.name for f in dataclasses.fields(fresh)] == ["n", "descriptors"]
+        assert [f.name for f in dataclasses.fields(fresh)] == ["descriptors"]
+        assert fresh.n == len(fresh.descriptors) == 1
 
     def test_untouched_descriptor_is_shared_object(self):
         net = descriptors.init_network(3)
@@ -247,6 +249,31 @@ class TestApplyGate:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
             descriptors.apply_gate(descriptors.init_network(2), GateSpec.x(2))
+
+    def test_circuit_equals_the_per_gate_fold(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            net = descriptors.apply_circuit(
+                descriptors.init_network(n), verify.random_circuit(rng, n, int(rng.integers(0, 8)))
+            )
+            # Gates on a random subset of the qubits, so some are never targeted.
+            allowed = rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
+            gates = verify.random_circuit(rng, n, int(rng.integers(0, 21)), allowed=allowed)
+            applied = descriptors.apply_circuit(net, gates)
+            assert applied.descriptors == reduce(descriptors.apply_gate, gates, net).descriptors
+            targeted = {t for g in gates for t in g.targets}
+            for k in set(range(n)) - targeted:
+                assert applied.descriptors[k] is net.descriptors[k]
+
+    @pytest.mark.parametrize("bad", [GateSpec.x(3), GateSpec.cnot(1, 5)], ids=["single", "cnot"])
+    def test_bad_gate_mid_circuit_leaves_the_input(self, bad):
+        net = descriptors.apply_circuit(descriptors.init_network(3), BELL_PREP)
+        before = copy.deepcopy(net)
+        gates = [GateSpec.roty(0.3, 0), GateSpec.cnot(0, 2), bad, GateSpec.h(1)]
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            descriptors.apply_circuit(net, gates)
+        assert net == before
 
     def test_x_flips_branch_measure(self):
         net = descriptors.apply_gate(descriptors.init_network(1), GateSpec.x(0))
@@ -327,6 +354,12 @@ class TestPauliSums:
         # Each qx is now two strings; the CNOT's product has four.
         with pytest.raises(ValueError, match="exceeds the term cap 3"):
             descriptors.apply_gate(net, GateSpec.cnot(0, 1))
+        # Mid-circuit, the failing gate leaves the input network as it was.
+        fresh = descriptors.init_network(2)
+        gates = [GateSpec.roty(0.3, 0), GateSpec.roty(0.5, 1), GateSpec.cnot(0, 1), GateSpec.h(0)]
+        with pytest.raises(ValueError, match="exceeds the term cap 3"):
+            descriptors.apply_circuit(fresh, gates)
+        assert fresh == descriptors.init_network(2)
 
 
 class TestBranchMeasure:

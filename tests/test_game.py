@@ -150,8 +150,17 @@ class TestQuantumProtocol:
             QuantumProtocol(0.0, 0.0, 0.0, 0.0)
 
     def test_nonfinite_angles_rejected(self):
-        with pytest.raises(ValueError):
-            QuantumProtocol(0.0, math.inf, 0.0, 0.0)
+        # Also a str, None or a bool: each bad angle is a ValueError naming it.
+        for index, name, bad in [
+            (1, "theta_a1", math.inf),
+            (0, "theta_a0", "a"),
+            (2, "theta_b0", None),
+            (3, "theta_b1", True),
+        ]:
+            angles = list(game.CANONICAL_ANGLES)
+            angles[index] = bad
+            with pytest.raises(ValueError, match=f"{name} needs a finite real angle, got {bad!r}"):
+                QuantumProtocol(*angles)
 
     def test_oracle_value_on_all_pairs(self):
         p = game.default_protocol()
@@ -333,10 +342,17 @@ class TestRedundancyDemo:
     def test_five_witnesses(self):
         assert game.redundancy_demo(5) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("m", [1000, descriptors.MAX_NETWORK_QUBITS - 1])
+    def test_many_witnesses_up_to_the_network_cap(self, m):
+        assert game.redundancy_demo(m) == 0.0
+
     def test_range_and_type_errors(self):
-        for bad in (-1, 11):
-            with pytest.raises(ValueError):
-                game.redundancy_demo(bad)
+        with pytest.raises(ValueError, match="witness count must be >= 0, got -1"):
+            game.redundancy_demo(-1)
+        cap = descriptors.MAX_NETWORK_QUBITS
+        message = f"qubit count {cap + 1} exceeds the network cap MAX_NETWORK_QUBITS = {cap}"
+        with pytest.raises(ValueError, match=message):
+            game.redundancy_demo(cap)
         with pytest.raises(ValueError):
             game.redundancy_demo(1.5)
         with pytest.raises(ValueError):

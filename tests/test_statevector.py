@@ -101,9 +101,22 @@ def test_record_probabilities_equal_per_record_masked_sums():
         assert len(probabilities) == 2 ** len(qubits)
         for j, bits in enumerate(itertools.product((0, 1), repeat=len(qubits))):
             record = list(zip(qubits, bits))
-            reference = masked_sum_probability(state, record)
+            # The empty record is certain: exactly 1, not the rounded norm.
+            reference = masked_sum_probability(state, record) if record else 1.0
             assert probabilities[j] == reference
             assert statevector.outcome_probability(state, record) == reference
+
+
+def test_empty_record_is_exactly_certain():
+    # The sum of every |amplitude|**2 after a random circuit is 1 only up
+    # to rounding; the empty record's probability is 1 exactly, as on the
+    # engine route.
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        state = statevector.run_circuit(n, verify.random_circuit(rng, n, int(rng.integers(1, 15))))
+        assert statevector.record_probabilities(state, []) == (1.0,)
+        assert statevector.outcome_probability(state, []) == 1.0
 
 
 def tensordot_gate(state, g):

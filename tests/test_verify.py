@@ -56,20 +56,22 @@ def test_locality_suite_catches_a_rewritten_non_target(monkeypatch):
     # only the exact after == before check can catch the rewrite.
     nudge = 1e-14
     assert 40 * nudge * 2**2 < DEFAULT_TOL  # sqrt(2**4) scales a one-string drift
-    exact = descriptors.apply_gate
+    exact = descriptors.apply_circuit
 
-    def leaky(net, g):
-        out = exact(net, g)
-        rewritten = []
-        for k, d in enumerate(out.descriptors):
-            if k not in g.targets:
-                key = next(iter(d.qz))
-                qz = MappingProxyType({**d.qz, key: d.qz[key] + nudge})
-                d = descriptors.Descriptor(d.qx, qz)
-            rewritten.append(d)
-        return dataclasses.replace(out, descriptors=tuple(rewritten))
+    def leaky(net, gates):
+        for g in gates:
+            out = exact(net, (g,))
+            rewritten = []
+            for k, d in enumerate(out.descriptors):
+                if k not in g.targets:
+                    key = next(iter(d.qz))
+                    qz = MappingProxyType({**d.qz, key: d.qz[key] + nudge})
+                    d = descriptors.Descriptor(d.qx, qz)
+                rewritten.append(d)
+            net = dataclasses.replace(out, descriptors=tuple(rewritten))
+        return net
 
-    monkeypatch.setattr(descriptors, "apply_gate", leaky)
+    monkeypatch.setattr(descriptors, "apply_circuit", leaky)
     result = verify.locality_suite(n_circuits=50)
     assert not result.passed
     assert result.failures == 50  # every trial has at least one remote gate
