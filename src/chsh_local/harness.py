@@ -14,9 +14,11 @@ integer, and the report says so).
 A played tournament is a :class:`RoundTable`: one outcome code per round,
 `pair * width + choice`, indexing a short table of record rows.  Rounds stay
 codes from the draw to the CSV and back; a :class:`RoundRecord` is built
-only when a caller indexes or iterates the table.  The CSV is written from
-one prebuilt text per code, and read back with one check per distinct
-row text.
+only when a caller indexes or iterates the table.  The CSV is rendered in
+numpy byte blocks: each block is a matrix of round-id digits followed by
+one prebuilt text per code.  Reading a file back checks each distinct row
+text once and re-renders every block from its codes, accepting it only if
+the bytes match; any other file is read line by line with the same checks.
 
 The geometry audit is bookkeeping, not transport simulation: it checks that
 the stations' answer window closes before light could carry a message
@@ -322,8 +324,9 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, RoundTable]:
     probabilities; its code `pair * width + outcome` (below 4 * 16) is
     stored as one byte and indexes the table's record rows, so no
     per-round object is built.  `exact_measure` keeps no rounds and returns
-    an empty table: a pair's rate is the sum of its winning probabilities
-    and its wins are rate x count, rounded.
+    an empty table: it counts only the pairs asked (code `pair * width`,
+    with no outcome sampled), a pair's rate is the sum of its winning
+    probabilities and its wins are rate x count, rounded.
     """
     analytic = cfg.sampling == "exact_measure"
     isolated, _ = audit_geometry(cfg.geometry)
@@ -345,10 +348,10 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, RoundTable]:
         questions = (2.0 * u[:, :2]).astype(np.int64)
         pair = 2 * questions[:, 0] + questions[:, 1]
         codes = pair * width
-        for p, pair_edges in enumerate(edges):
-            asked = pair == p
-            codes[asked] += np.searchsorted(pair_edges, u[asked, 2], side="right")
         if not analytic:
+            for p, pair_edges in enumerate(edges):
+                asked = pair == p
+                codes[asked] += np.searchsorted(pair_edges, u[asked, 2], side="right")
             played[start:stop] = codes
         counts += np.bincount(codes, minlength=counts.size)
 
@@ -407,24 +410,76 @@ def audit_geometry(geometry: Geometry) -> tuple[bool, dict]:
     return isolated, report
 
 
+#: Pads the shorter texts of a row-text table; no UTF-8 text holds this byte.
+_PAD = 0xFF
+
+#: Characters of a CSV decoded and checked at a time by the block reader:
+#: about 2.3k rows of the 28-byte lines a table with 5-digit round ids has.
+_READ_CHARS = 1 << 16
+
+#: Odd 64-bit multiplier folding a row text's 8-byte words into one key.
+_KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _text_table(texts: list[bytes]) -> np.ndarray:
+    """Row texts as one uint8 matrix: row c is text c, padded with `_PAD`."""
+    width = max(map(len, texts), default=0)
+    padded = b"".join(text.ljust(width, bytes((_PAD,))) for text in texts)
+    return np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), width)
+
+
+def _digit_runs(start: int, stop: int):
+    """Split round ids `[start, stop)` into runs `(lo, hi, digits)` of one length."""
+    while start < stop:
+        digits = len(str(start))
+        hi = min(stop, 10**digits)
+        yield start, hi, digits
+        start = hi
+
+
+def _render_rows(codes: np.ndarray, text_table: np.ndarray, start: int) -> bytes:
+    """The CSV lines of rounds `start, start + 1, ...` with these codes.
+
+    Each run of round ids with the same number of digits is one uint8
+    matrix: the ids' ASCII digits, a column at a time by `% 10` and `// 10`,
+    then `text_table[codes]`.  Pad bytes of shorter texts are dropped.
+    """
+    texts = np.take(text_table, codes, axis=0)
+    padded = bool((text_table == _PAD).any())
+    lines = []
+    for lo, hi, digits in _digit_runs(start, start + len(codes)):
+        ids = np.arange(lo, hi, dtype=np.int64)
+        matrix = np.empty((hi - lo, digits + texts.shape[1]), dtype=np.uint8)
+        for column in range(digits - 1, -1, -1):
+            ids, digit = np.divmod(ids, 10)
+            matrix[:, column] = digit + ord("0")
+        matrix[:, digits:] = texts[lo - start : hi - start]
+        lines.append((matrix[matrix != _PAD] if padded else matrix).tobytes())
+    return b"".join(lines)
+
+
 def write_report(report: TournamentReport, rounds: RoundTable, path: str) -> None:
     """Write `{path}.json` (summary) and `{path}.csv` (per-round table).
 
     The table format is fixed: the exact header, booleans as 0/1, measures
     with 9 decimals, and newline line endings, so identical runs produce
     byte-identical files.  The text of a row after its round id is
-    formatted once per code of the table, not once per round.
+    formatted once per code of the table, and the CSV is rendered
+    `BLOCK_ROUNDS` rounds at a time as numpy byte blocks
+    (:func:`_render_rows`), so no per-round Python object is built.
     """
     with open(f"{path}.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    suffixes = [
-        f"{qa},{qb},{aa},{ab},{int(win)},{measure:.9f}\n"
+    text_table = _text_table([
+        f",{qa},{qb},{aa},{ab},{int(win)},{measure:.9f}\n".encode()
         for qa, qb, aa, ab, win, measure in rounds.rows
-    ]
-    with open(f"{path}.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(ROUND_TABLE_HEADER + "\n")
-        fh.writelines(f"{i},{suffixes[c]}" for i, c in enumerate(rounds.codes.tolist()))
+    ])
+    codes = rounds.codes
+    with open(f"{path}.csv", "wb") as fh:
+        fh.write(f"{ROUND_TABLE_HEADER}\n".encode())
+        for start in range(0, len(codes), BLOCK_ROUNDS):
+            fh.write(_render_rows(codes[start : start + BLOCK_ROUNDS], text_table, start))
 
 
 #: Every well-formed `(qa, qb, aa, ab, win)` field tuple of a table row: the
@@ -442,55 +497,147 @@ _ROW_FIELDS = {
 _PLAIN_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 
-def read_round_table(path: str) -> RoundTable:
-    """Read a per-round table back, re-checking every row.
+def _checked_row(line: str, line_no: int, path: str) -> tuple:
+    """Check one CSV line in full and return its record row.
 
-    Round ids must count 0, 1, 2, ... in plain decimal as :func:`write_report`
-    writes them, the question and answer bits and the win tag must each be
-    exactly 0 or 1, the tag must agree with the game rule, and
-    `leaf_measure` must be a plain decimal numeral (digits, then optionally
-    a point and digits) in [0, 1]; a violation names `path:line` and the
-    field.  The five bit fields are checked with one lookup in a table of the
-    32 well-formed tuples.  Every line's round id is compared with the
-    expected one; the rest of the line is checked once per distinct text,
-    which then becomes one code of the returned table.
+    The row is `(qa, qb, aa, ab, win, leaf_measure)`; a violation raises
+    `ValueError` naming `path:line_no` and the field.
+    """
+    def bad(message: str) -> ValueError:
+        return ValueError(f"{path}:{line_no}: {message}")
+
+    fields = line.rstrip("\n").split(",")
+    if len(fields) != 7:
+        raise bad(f"expected 7 fields, got {len(fields)}")
+    entry = _ROW_FIELDS.get(tuple(fields[1:6]))
+    if entry is None:
+        for name, value in zip(("qa", "qb", "aa", "ab", "win tag"), fields[1:6]):
+            if value not in ("0", "1"):
+                raise bad(f"{name} must be 0 or 1, got {value!r}")
+    (qa, qb, aa, ab, win), agrees = entry
+    round_id = line_no - 2
+    if fields[0] != str(round_id):
+        if fields[0].isascii() and fields[0].isdigit():
+            raise bad(f"round_id {fields[0]}, expected {round_id}")
+        raise bad(f"round_id must be an integer, got {fields[0]!r}")
+    if _PLAIN_DECIMAL.fullmatch(fields[6]) is None:
+        raise bad(f"leaf_measure must be a number, got {fields[6]!r}")
+    leaf_measure = float(fields[6])
+    if leaf_measure > 1.0:
+        raise bad(f"leaf_measure {leaf_measure} is not in [0, 1]")
+    if not agrees:
+        raise bad(
+            f"win tag {fields[5]} contradicts the game rule "
+            f"for questions ({qa}, {qb}) and answers ({aa}, {ab})"
+        )
+    return qa, qb, aa, ab, win, leaf_measure
+
+
+def _row_keys(texts: np.ndarray) -> np.ndarray:
+    """One uint64 key per row of a uint8 text matrix; equal rows get equal keys.
+
+    Unequal rows may share a key: the block reader's render comparison
+    catches that.
+    """
+    n, width = texts.shape
+    words = np.zeros((n, -(-width // 8)), dtype=np.uint64)
+    words.view(np.uint8)[:, :width] = texts
+    keys = words[:, 0]
+    for column in words.T[1:]:
+        keys = keys * _KEY_MULTIPLIER + column
+    return keys
+
+
+def _line_blocks(fh):
+    """The rest of a text file as UTF-8 bytes, `_READ_CHARS` characters at a
+    time, each block cut after its last newline; text after the file's last
+    newline comes last."""
+    tail = ""
+    while chunk := fh.read(_READ_CHARS):
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        yield text[:cut].encode()
+        tail = text[cut:]
+    if tail:
+        yield tail.encode()
+
+
+def _read_blocks(path: str) -> RoundTable | None:
+    """Read a table in the layout :func:`write_report` writes, else None.
+
+    The file is decoded (UTF-8, universal newlines) and re-encoded a block
+    of whole lines at a time.  A block of n lines is cut at the byte offsets
+    that round ids `start .. start + n - 1` and one row-text width imply.
+    Lines with equal row text (equal :func:`_row_keys`) share a code, given
+    in first-appearance order, and the first line of each new text is
+    checked by :func:`_checked_row` at its own line number.  The block is
+    accepted only if :func:`_render_rows` of its codes gives back its bytes
+    exactly, which also checks every round id and every line's text.
+    Anything else (another layout, a key collision, a bad row, a line
+    without its newline) returns None; only opening or decoding the file
+    raises.
+    """
+    codes_by_key: dict[int, int] = {}
+    rows: list[tuple] = []
+    row_texts: list[bytes] = []
+    blocks = []
+    start = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n") != ROUND_TABLE_HEADER:
+            return None
+        for data in _line_blocks(fh):
+            if not data.endswith(b"\n"):
+                return None
+            raw = np.frombuffer(data, dtype=np.uint8)
+            n = int(np.count_nonzero(raw == ord("\n")))
+            runs = list(_digit_runs(start, start + n))
+            width, extra = divmod(len(data) - sum((hi - lo) * d for lo, hi, d in runs), n)
+            if extra or width < 1:
+                return None
+            pieces, offset = [], 0
+            for lo, hi, digits in runs:
+                size = (hi - lo) * (digits + width)
+                pieces.append(raw[offset : offset + size].reshape(hi - lo, -1)[:, digits:])
+                offset += size
+            texts = np.concatenate(pieces)
+            keys, inverse = np.unique(_row_keys(texts), return_inverse=True)
+            block_codes = [codes_by_key.get(key) for key in keys.tolist()]
+            if None in block_codes:
+                first = np.full(len(keys), n)
+                np.minimum.at(first, inverse, np.arange(n))
+                for j in first.argsort().tolist():
+                    if block_codes[j] is not None:
+                        continue
+                    i = int(first[j])
+                    row_text = texts[i].tobytes()
+                    # n texts over n newlines: each must end in its own.
+                    if not row_text.endswith(b"\n"):
+                        return None
+                    try:
+                        rows.append(
+                            _checked_row(f"{start + i}{row_text.decode()}", start + i + 2, path)
+                        )
+                    except ValueError:
+                        return None
+                    row_texts.append(row_text)
+                    block_codes[j] = codes_by_key[int(keys[j])] = len(rows) - 1
+            codes = np.array(block_codes, dtype=np.min_scalar_type(len(rows)))[inverse]
+            if _render_rows(codes, _text_table(row_texts), start) != data:
+                return None
+            blocks.append(codes)
+            start += n
+    dtype = np.min_scalar_type(len(rows))
+    return RoundTable(np.concatenate(blocks, dtype=dtype) if blocks else np.empty(0, dtype), rows)
+
+
+def _read_lines(path: str) -> RoundTable:
+    """Read a table one line at a time, checking each new row text in full.
+
+    Accepts every table :func:`read_round_table` accepts, and is the only
+    reader that raises a row error.
     """
     codes_by_suffix: dict[str, int] = {}
     rows: list[tuple] = []
-
-    def checked_code(line: str, line_no: int) -> int:
-        """Check one row in full; a new valid row text gets the next code."""
-        def bad(message: str) -> ValueError:
-            return ValueError(f"{path}:{line_no}: {message}")
-
-        fields = line.rstrip("\n").split(",")
-        if len(fields) != 7:
-            raise bad(f"expected 7 fields, got {len(fields)}")
-        entry = _ROW_FIELDS.get(tuple(fields[1:6]))
-        if entry is None:
-            for name, value in zip(("qa", "qb", "aa", "ab", "win tag"), fields[1:6]):
-                if value not in ("0", "1"):
-                    raise bad(f"{name} must be 0 or 1, got {value!r}")
-        (qa, qb, aa, ab, win), agrees = entry
-        round_id = line_no - 2
-        if fields[0] != str(round_id):
-            if fields[0].isascii() and fields[0].isdigit():
-                raise bad(f"round_id {fields[0]}, expected {round_id}")
-            raise bad(f"round_id must be an integer, got {fields[0]!r}")
-        if _PLAIN_DECIMAL.fullmatch(fields[6]) is None:
-            raise bad(f"leaf_measure must be a number, got {fields[6]!r}")
-        leaf_measure = float(fields[6])
-        if leaf_measure > 1.0:
-            raise bad(f"leaf_measure {leaf_measure} is not in [0, 1]")
-        if not agrees:
-            raise bad(
-                f"win tag {fields[5]} contradicts the game rule "
-                f"for questions ({qa}, {qb}) and answers ({aa}, {ab})"
-            )
-        code = codes_by_suffix[line.partition(",")[2]] = len(rows)
-        rows.append((qa, qb, aa, ab, win, leaf_measure))
-        return code
-
     codes = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -500,6 +647,34 @@ def read_round_table(path: str) -> RoundTable:
             text_id, _, suffix = line.partition(",")
             code = codes_by_suffix.get(suffix)
             if code is None or text_id != str(round_id):
-                code = checked_code(line, round_id + 2)
+                rows.append(_checked_row(line, round_id + 2, path))
+                code = codes_by_suffix[suffix] = len(rows) - 1
             codes.append(code)
     return RoundTable(np.array(codes, dtype=np.min_scalar_type(len(rows))), rows)
+
+
+def read_round_table(path: str) -> RoundTable:
+    """Read a per-round table back, re-checking every row.
+
+    Round ids must count 0, 1, 2, ... in plain decimal as :func:`write_report`
+    writes them, the question and answer bits and the win tag must each be
+    exactly 0 or 1, the tag must agree with the game rule, and
+    `leaf_measure` must be a plain decimal numeral (digits, then optionally
+    a point and digits) in [0, 1]; a violation names `path:line` and the
+    field.  The five bit fields are checked with one lookup in a table of the
+    32 well-formed tuples.  Each distinct row text after the round id is
+    checked once and becomes one code of the returned table.
+
+    A file in the layout :func:`write_report` writes is read in blocks
+    (:func:`_read_blocks`): each block is accepted only when re-rendering
+    its codes gives back its bytes exactly, which checks every round id.
+    Any other file, irregular but valid ones (CRLF line endings, no final
+    newline, measures of several lengths) and bad ones alike, is read again
+    from the top one line at a time (:func:`_read_lines`), the only path
+    that raises a row error; both paths return the same table.
+    """
+    try:
+        table = _read_blocks(path)
+    except UnicodeDecodeError:
+        table = None
+    return _read_lines(path) if table is None else table

@@ -45,6 +45,12 @@ GOLDEN = [
         "d49cb0944d4406d7eead981ae26dade0482dd21d08b022c11109ab21e2b2de88",
         "8fe4336b2494b36fa52b2b74bcc962288a2da7872ab7da30a800522ca7c97832",
     ),
+    # Six-digit round ids; the CSV block of rounds 98304-102400 crosses 10**5.
+    (
+        "quantum", "mc", 4, 100_001, (),
+        "ad410cadd44fd531eb3c81b60bffb10eff1da33a5ad033a3e502e39f5cf91cd1",
+        "62a6c18585a04e322c169eee94dd17af1332f63528e61d3fa775615c016d0698",
+    ),
     # Exact-mode rates of a deterministic table and of a non-uniform mixture
     # with zero weights.
     (

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -336,6 +337,22 @@ def as_written(played):
     return [dataclasses.replace(r, leaf_measure=float(f"{r.leaf_measure:.9f}")) for r in played]
 
 
+def reference_csv(table):
+    """The CSV bytes of a table, one f-string per round."""
+    lines = [
+        f"{i},{qa},{qb},{aa},{ab},{int(win)},{measure:.9f}\n"
+        for i, (qa, qb, aa, ab, win, measure) in enumerate(table.rows[c] for c in table.codes)
+    ]
+    return (harness.ROUND_TABLE_HEADER + "\n" + "".join(lines)).encode()
+
+
+def assert_same_table(table, reference):
+    """Equal codes, code type and rows, not only equal records."""
+    assert table.codes.dtype == reference.codes.dtype
+    assert np.array_equal(table.codes, reference.codes)
+    assert table.rows == reference.rows
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     mode=st.sampled_from(sorted(MODE_CONFIGS)),
@@ -349,6 +366,8 @@ def test_written_table_reads_back_as_played(mode, seed, rounds):
         base = Path(tmp)
         harness.write_report(report, played, str(base / "run"))
         loaded = harness.read_round_table(str(base / "run.csv"))
+        assert (base / "run.csv").read_bytes() == reference_csv(played)
+        assert_same_table(loaded, harness._read_lines(str(base / "run.csv")))
         harness.write_report(report, loaded, str(base / "again"))
         assert (base / "again.csv").read_bytes() == (base / "run.csv").read_bytes()
     assert len(loaded) == rounds
@@ -535,3 +554,132 @@ class TestReportFiles:
         cfg = classical_cfg(rounds=2, output_path=str(tmp_path / "no" / "such" / "dir" / "x"))
         with pytest.raises(OSError):
             harness.run_tournament(cfg)
+
+
+class TestBlockReader:
+    """The block reader against the per-line reader it falls back to."""
+
+    HEADER = "round_id,qa,qb,aa,ab,win,leaf_measure\n"
+
+    def written(self, tmp_path):
+        report, played = harness.play_rounds(
+            TournamentConfig(rounds=3 * BLOCK_ROUNDS, mode="quantum", seed=31)
+        )
+        harness.write_report(report, played, str(tmp_path / "run"))
+        return tmp_path / "run.csv"
+
+    def count_line_reads(self, monkeypatch):
+        calls = []
+        read_lines = harness._read_lines
+        monkeypatch.setattr(
+            harness, "_read_lines", lambda path: calls.append(path) or read_lines(path)
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "rows, codes, records",
+        [
+            ("0,0,0,0,0,1,1.0\n1,1,1,0,1,1,0.5", [0, 1],
+             [(0, 0, 0, 0, True, 1.0), (1, 1, 0, 1, True, 0.5)]),
+            ("0,0,0,0,0,1,1.0\r\n1,1,1,0,1,1,0.5\r\n", [0, 1],
+             [(0, 0, 0, 0, True, 1.0), (1, 1, 0, 1, True, 0.5)]),
+            ("0,0,0,0,0,1,1.0\n1,1,1,0,1,1,0.500000000\n2,0,0,0,0,1,1\n3,0,0,0,0,1,1.0\n",
+             [0, 1, 2, 0],
+             [(0, 0, 0, 0, True, 1.0), (1, 1, 0, 1, True, 0.5), (0, 0, 0, 0, True, 1.0)]),
+            ("0,1,1,0,1,1,0.5\n1,1,1,0,1,1,0.50\n2,1,1,0,1,1,0.5\n", [0, 1, 0],
+             [(1, 1, 0, 1, True, 0.5), (1, 1, 0, 1, True, 0.5)]),
+        ],
+        ids=["no-final-newline", "crlf", "mixed-length-measures", "0.5-and-0.50"],
+    )
+    def test_irregular_valid_files_read_as_line_by_line(self, tmp_path, rows, codes, records):
+        path = tmp_path / "odd.csv"
+        path.write_bytes((self.HEADER + rows).encode())
+        table = harness.read_round_table(str(path))
+        assert_same_table(table, harness._read_lines(str(path)))
+        assert table.codes.tolist() == codes
+        assert table.rows == records
+
+    def test_crlf_copy_of_a_written_table_reads_the_same(self, tmp_path, monkeypatch):
+        path = self.written(tmp_path)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        reference = harness._read_lines(str(path))
+        calls = self.count_line_reads(monkeypatch)
+        assert_same_table(harness.read_round_table(str(crlf)), reference)
+        assert calls == []
+
+    def test_table_is_unchanged_when_the_block_reader_gives_up(self, tmp_path, monkeypatch):
+        path = self.written(tmp_path)
+        calls = self.count_line_reads(monkeypatch)
+        table = harness.read_round_table(str(path))
+        assert calls == []
+        monkeypatch.setattr(harness, "_row_keys", lambda texts: np.zeros(len(texts), np.uint64))
+        assert_same_table(harness.read_round_table(str(path)), table)
+        assert calls == [str(path)]
+
+    @pytest.mark.parametrize(
+        "bad_fields, message",
+        [({5: (1, "2"), 3 * BLOCK_ROUNDS - 2: (0, "x")}, ":7: qa must be 0 or 1, got '2'"),
+         ({BLOCK_ROUNDS + 7: (1, "2"), 9: (6, "2.0")}, ":11: leaf_measure 2.0 is not in [0, 1]")],
+        ids=["earlier-block", "later-block"],
+    )
+    def test_of_two_bad_lines_the_earlier_is_named(self, tmp_path, bad_fields, message):
+        path = self.written(tmp_path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        for row, (field, text) in bad_fields.items():
+            fields = lines[row + 1].split(",")
+            fields[field] = text
+            lines[row + 1] = ",".join(fields)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+            harness.read_round_table(str(path))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [("\n", r"bad\.csv:2: expected 7 fields, got 1"),
+         # Cut at one width, these bytes re-render from two rows that each
+         # pass the row check, but the first holds no line break.
+         ("0,0,0,0,0,1,1.0001,0,0,0,0,1,1.0\n\n", r"bad\.csv:2: expected 7 fields, got 13")],
+        ids=["blank-line", "line-break-moved"],
+    )
+    def test_bytes_that_only_look_canonical_are_rejected(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER + rows, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            harness.read_round_table(str(path))
+
+    def test_a_file_that_is_not_utf8_fails_as_line_by_line(self, tmp_path):
+        path = self.written(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(UnicodeDecodeError) as expected:
+            harness._read_lines(str(path))
+        with pytest.raises(UnicodeDecodeError) as got:
+            harness.read_round_table(str(path))
+        assert str(got.value) == str(expected.value)
+
+    def test_rows_of_several_text_lengths_write_as_f_strings(self, tmp_path):
+        rows = [(0, 0, 0, 0, True, 1.0), (1, 1, 0, 1, True, 12.5), (0, 1, 1, 1, True, 0.25)]
+        codes = np.random.default_rng(3).integers(0, 3, 2 * BLOCK_ROUNDS + 5).astype(np.uint8)
+        table = RoundTable(codes, rows)
+        report, _ = harness.play_rounds(classical_cfg(rounds=1))
+        harness.write_report(report, table, str(tmp_path / "run"))
+        assert (tmp_path / "run.csv").read_bytes() == reference_csv(table)
+
+    def test_writing_and_reading_keep_bounded_buffers(self, tmp_path):
+        def peak(rounds):
+            report, played = harness.play_rounds(
+                TournamentConfig(rounds=rounds, mode="quantum", seed=8)
+            )
+            base = str(tmp_path / f"run{rounds}")
+            tracemalloc.start()
+            try:
+                harness.write_report(report, played, base)
+                harness.read_round_table(f"{base}.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = 3 * BLOCK_ROUNDS, 30 * BLOCK_ROUNDS
+        assert peak(large) - peak(small) < 4 * (large - small)
