@@ -99,6 +99,15 @@ def as_index(value, name: str) -> int:
     raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def as_items(value, name: str) -> list:
+    """The items of an iterable as a list; any other value is a ValueError naming it."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {value!r}") from None
+    return list(items)
+
+
 def check_angle(value, name: str) -> None:
     """Reject an angle that is not a finite real number (a bool is not one), naming it."""
     if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
@@ -118,7 +127,7 @@ class GateSpec:
     theta: float | None = None
 
     def __post_init__(self):
-        targets = tuple([as_index(t, "target") for t in self.targets])
+        targets = tuple([as_index(t, "target") for t in as_items(self.targets, "targets")])
         object.__setattr__(self, "targets", targets)
         if self.name not in GATE_NAMES:
             raise ValueError(f"unknown gate {self.name!r}")
@@ -192,7 +201,7 @@ class OutcomeSpec(NamedTuple):
         # A list, not tuple() of a generator: called once per record, the
         # generator form made resident memory creep up by about 0.5 MiB
         # before levelling off (CPython 3.11).
-        specs = [cls.checked(o, n) for o in outcomes]
+        specs = [cls.checked(o, n) for o in as_items(outcomes, "outcomes")]
         qubits = [s.qubit for s in specs]
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"outcome qubits must be distinct, got {qubits}")
@@ -464,7 +473,7 @@ def record_measures(net: DescriptorNetwork, qubits) -> tuple[float, ...]:
     the last step reads both outcomes from one x1 == x2 product, so shared
     record prefixes are folded once.
     """
-    specs = OutcomeSpec.checked_record([(q, 0) for q in qubits], net.n)
+    specs = OutcomeSpec.checked_record([(q, 0) for q in as_items(qubits, "qubits")], net.n)
     qzs = [net.descriptors[s.qubit].qz for s in specs]
     return _fold_records({(0, 0): 1.0}, qzs) if qzs else (1.0,)
 

@@ -16,9 +16,10 @@ A played tournament is a :class:`RoundTable`: one outcome code per round,
 codes from the draw to the CSV and back; a :class:`RoundRecord` is built
 only when a caller indexes or iterates the table.  The CSV is rendered in
 numpy byte blocks: each block is a matrix of round-id digits followed by
-one prebuilt text per code.  Reading a file back checks each distinct row
-text once and re-renders every block from its codes, accepting it only if
-the bytes match; any other file is read line by line with the same checks.
+one prebuilt text per code.  Reading a file back takes one pass: each block
+is split at its newlines, its round ids are checked against the same digit
+matrix, and equal row texts are grouped exactly, so each distinct text is
+checked once.
 
 The geometry audit is bookkeeping, not transport simulation: it checks that
 the stations' answer window closes before light could carry a message
@@ -413,12 +414,11 @@ def audit_geometry(geometry: Geometry) -> tuple[bool, dict]:
 #: Pads the shorter texts of a row-text table; no UTF-8 text holds this byte.
 _PAD = 0xFF
 
-#: Characters of a CSV decoded and checked at a time by the block reader:
-#: about 2.3k rows of the 28-byte lines a table with 5-digit round ids has.
-_READ_CHARS = 1 << 16
-
-#: Odd 64-bit multiplier folding a row text's 8-byte words into one key.
-_KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+#: Characters of a CSV decoded and checked at a time by
+#: :func:`read_round_table`: about 4.7k rows of the 28-byte lines a table
+#: with 5-digit round ids has.  Half as many read a 20k-round table about
+#: 10 % slower; twice as many are no faster.
+_READ_CHARS = 1 << 17
 
 
 def _text_table(texts: list[bytes]) -> np.ndarray:
@@ -437,23 +437,35 @@ def _digit_runs(start: int, stop: int):
         start = hi
 
 
+def _id_digits(ids: np.ndarray, digits: int) -> np.ndarray:
+    """Round ids of `digits` digits each as a uint8 matrix of ASCII digits.
+
+    Filled a column at a time by `// 10` in the narrowest unsigned type that
+    holds them, faster than `np.divmod` in int64.  The writer renders round
+    ids from it and the reader checks them against it.
+    """
+    ids = ids.astype(np.min_scalar_type(10**digits - 1))
+    matrix = np.empty((len(ids), digits), dtype=np.uint8)
+    for column in range(digits - 1, -1, -1):
+        tens = ids // 10
+        matrix[:, column] = ids - 10 * tens + ord("0")
+        ids = tens
+    return matrix
+
+
 def _render_rows(codes: np.ndarray, text_table: np.ndarray, start: int) -> bytes:
     """The CSV lines of rounds `start, start + 1, ...` with these codes.
 
     Each run of round ids with the same number of digits is one uint8
-    matrix: the ids' ASCII digits, a column at a time by `% 10` and `// 10`,
-    then `text_table[codes]`.  Pad bytes of shorter texts are dropped.
+    matrix: :func:`_id_digits`, then `text_table[codes]`.  Pad bytes of
+    shorter texts are dropped.
     """
     texts = np.take(text_table, codes, axis=0)
     padded = bool((text_table == _PAD).any())
     lines = []
     for lo, hi, digits in _digit_runs(start, start + len(codes)):
         ids = np.arange(lo, hi, dtype=np.int64)
-        matrix = np.empty((hi - lo, digits + texts.shape[1]), dtype=np.uint8)
-        for column in range(digits - 1, -1, -1):
-            ids, digit = np.divmod(ids, 10)
-            matrix[:, column] = digit + ord("0")
-        matrix[:, digits:] = texts[lo - start : hi - start]
+        matrix = np.concatenate((_id_digits(ids, digits), texts[lo - start : hi - start]), axis=1)
         lines.append((matrix[matrix != _PAD] if padded else matrix).tobytes())
     return b"".join(lines)
 
@@ -533,124 +545,102 @@ def _checked_row(line: str, line_no: int, path: str) -> tuple:
     return qa, qb, aa, ab, win, leaf_measure
 
 
-def _row_keys(texts: np.ndarray) -> np.ndarray:
-    """One uint64 key per row of a uint8 text matrix; equal rows get equal keys.
-
-    Unequal rows may share a key: the block reader's render comparison
-    catches that.
-    """
-    n, width = texts.shape
-    words = np.zeros((n, -(-width // 8)), dtype=np.uint64)
-    words.view(np.uint8)[:, :width] = texts
-    keys = words[:, 0]
-    for column in words.T[1:]:
-        keys = keys * _KEY_MULTIPLIER + column
-    return keys
-
-
 def _line_blocks(fh):
     """The rest of a text file as UTF-8 bytes, `_READ_CHARS` characters at a
     time, each block cut after its last newline; text after the file's last
-    newline comes last."""
+    newline comes last.  A block may be empty."""
     tail = ""
     while chunk := fh.read(_READ_CHARS):
         text = tail + chunk
         cut = text.rfind("\n") + 1
         yield text[:cut].encode()
         tail = text[cut:]
-    if tail:
-        yield tail.encode()
+    yield tail.encode()
 
 
-def _read_blocks(path: str) -> RoundTable | None:
-    """Read a table in the layout :func:`write_report` writes, else None.
+def _gather(data: bytes, offsets: np.ndarray, size: int) -> np.ndarray:
+    """The `size` bytes of `data` from each offset, as rows of a uint8 matrix.
 
-    The file is decoded (UTF-8, universal newlines) and re-encoded a block
-    of whole lines at a time.  A block of n lines is cut at the byte offsets
-    that round ids `start .. start + n - 1` and one row-text width imply.
-    Lines with equal row text (equal :func:`_row_keys`) share a code, given
-    in first-appearance order, and the first line of each new text is
-    checked by :func:`_checked_row` at its own line number.  The block is
-    accepted only if :func:`_render_rows` of its codes gives back its bytes
-    exactly, which also checks every round id and every line's text.
-    Anything else (another layout, a key collision, a bad row, a line
-    without its newline) returns None; only opening or decoding the file
-    raises.
+    Bytes past the end of `data` read as `_PAD`.
     """
-    codes_by_key: dict[int, int] = {}
-    rows: list[tuple] = []
-    row_texts: list[bytes] = []
-    blocks = []
-    start = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != ROUND_TABLE_HEADER:
-            return None
-        for data in _line_blocks(fh):
-            if not data.endswith(b"\n"):
-                return None
-            raw = np.frombuffer(data, dtype=np.uint8)
-            n = int(np.count_nonzero(raw == ord("\n")))
-            runs = list(_digit_runs(start, start + n))
-            width, extra = divmod(len(data) - sum((hi - lo) * d for lo, hi, d in runs), n)
-            if extra or width < 1:
-                return None
-            pieces, offset = [], 0
-            for lo, hi, digits in runs:
-                size = (hi - lo) * (digits + width)
-                pieces.append(raw[offset : offset + size].reshape(hi - lo, -1)[:, digits:])
-                offset += size
-            texts = np.concatenate(pieces)
-            keys, inverse = np.unique(_row_keys(texts), return_inverse=True)
-            block_codes = [codes_by_key.get(key) for key in keys.tolist()]
-            if None in block_codes:
-                first = np.full(len(keys), n)
-                np.minimum.at(first, inverse, np.arange(n))
-                for j in first.argsort().tolist():
-                    if block_codes[j] is not None:
-                        continue
-                    i = int(first[j])
-                    row_text = texts[i].tobytes()
-                    # n texts over n newlines: each must end in its own.
-                    if not row_text.endswith(b"\n"):
-                        return None
-                    try:
-                        rows.append(
-                            _checked_row(f"{start + i}{row_text.decode()}", start + i + 2, path)
-                        )
-                    except ValueError:
-                        return None
-                    row_texts.append(row_text)
-                    block_codes[j] = codes_by_key[int(keys[j])] = len(rows) - 1
-            codes = np.array(block_codes, dtype=np.min_scalar_type(len(rows)))[inverse]
-            if _render_rows(codes, _text_table(row_texts), start) != data:
-                return None
-            blocks.append(codes)
-            start += n
-    dtype = np.min_scalar_type(len(rows))
-    return RoundTable(np.concatenate(blocks, dtype=dtype) if blocks else np.empty(0, dtype), rows)
+    data += bytes((_PAD,)) * size
+    items = np.ndarray((len(data) - size + 1,), dtype=f"V{size}", buffer=data, strides=(1,))
+    return items[offsets].view(np.uint8).reshape(len(offsets), size)
 
 
-def _read_lines(path: str) -> RoundTable:
-    """Read a table one line at a time, checking each new row text in full.
+def _equal_row_groups(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An order of the rows of `words` that makes equal rows neighbours, and
+    where in it each run of equal rows starts.
 
-    Accepts every table :func:`read_round_table` accepts, and is the only
-    reader that raises a row error.
+    Sorting by the first word suffices when it tells the rows apart, as it
+    does for the row texts of every written table; otherwise the rows are
+    sorted by every word.  Neighbours are compared a word at a time across
+    all rows, so long texts cost no Python loop.
     """
-    codes_by_suffix: dict[str, int] = {}
-    rows: list[tuple] = []
-    codes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != ROUND_TABLE_HEADER:
-            raise ValueError(f"unexpected round-table header in {path}: {header!r}")
-        for round_id, line in enumerate(fh):
-            text_id, _, suffix = line.partition(",")
-            code = codes_by_suffix.get(suffix)
-            if code is None or text_id != str(round_id):
-                rows.append(_checked_row(line, round_id + 2, path))
-                code = codes_by_suffix[suffix] = len(rows) - 1
-            codes.append(code)
-    return RoundTable(np.array(codes, dtype=np.min_scalar_type(len(rows))), rows)
+    order = np.argsort(words[:, 0])
+    ordered = np.take(words.T, order, axis=1)
+    changes = ordered[:, 1:] != ordered[:, :-1]
+    if np.count_nonzero(np.logical_or.reduce(changes)) > np.count_nonzero(changes[0]):
+        order = np.lexsort(words.T[::-1])
+        ordered = np.take(words.T, order, axis=1)
+        changes = ordered[:, 1:] != ordered[:, :-1]
+    return order, np.concatenate(([True], np.logical_or.reduce(changes)))
+
+
+def _raise_first_bad_line(lines: bytes, start: int, path: str) -> None:
+    """Raise the row error of the first bad line among `lines`, rounds `start, ...`.
+
+    Every line is checked in full by :func:`_checked_row`, in order.
+    """
+    for i, line in enumerate(lines.decode().removesuffix("\n").split("\n")):
+        _checked_row(line, start + i + 2, path)
+    raise RuntimeError(f"{path}: lines from {start + 2} failed a check but each line passes")
+
+
+def _block_texts(data: bytes, start: int, path: str):
+    """Split a block of lines, rounds `start, ...`, check its round ids and
+    pad its row texts to whole uint64 words.
+
+    Returns the lines' starts and ends in `data` and a list of
+    `(lines, texts)`: block indices of lines and their texts as one uint8
+    matrix, each text padded with `_PAD` to the matrix's width, a multiple
+    of 8 bytes.  Lines whose round ids have one length and whose lengths lie
+    in one range 2**(k-1) + 1 .. 2**k are read together: as a view of `data`
+    when they are consecutive and of one length, else gathered, so a block
+    of many line lengths still takes few numpy calls.  A bad round id, or a
+    line too short to hold one, makes :func:`_raise_first_bad_line` check
+    the block's lines.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    # Each newline ends a line, and so does the block's last byte.
+    ends = np.flatnonzero(np.append(raw[:-1] == ord("\n"), True)) + 1
+    lengths = np.diff(ends, prepend=0)
+    starts = ends - lengths
+    classes = np.frexp(lengths - 1)[1]
+    pieces: dict[int, list] = {}
+    for lo, hi, digits in _digit_runs(start, start + len(ends)):
+        run = slice(lo - start, hi - start)
+        for k in np.flatnonzero(np.bincount(classes[run])).tolist():
+            at = np.flatnonzero(classes[run] == k) + run.start
+            widths = lengths[at] - digits
+            shortest, width = int(widths.min()), int(widths.max())
+            if shortest == width and at[-1] - at[0] == len(at) - 1:
+                lines = raw[starts[at[0]] : ends[at[-1]]].reshape(len(at), -1)
+            else:
+                lines = _gather(data, starts[at], digits + width)
+            ids = lines[:, :digits]
+            if shortest < 1 or not np.array_equal(ids, _id_digits(at + start, digits)):
+                _raise_first_bad_line(data, start, path)
+            texts = np.full((len(at), -(-width // 8) * 8), _PAD, dtype=np.uint8)
+            texts[:, :width] = lines[:, digits:]
+            # Past its own end a text has only pad bytes (_PAD is all ones).
+            past_end = np.arange(shortest, width) >= widths[:, None]
+            texts[:, shortest:width] |= -past_end.view(np.uint8)
+            pieces.setdefault(texts.shape[1], []).append((at, texts))
+    return starts, ends, [
+        same[0] if len(same) == 1 else tuple(np.concatenate(parts) for parts in zip(*same))
+        for same in pieces.values()
+    ]
 
 
 def read_round_table(path: str) -> RoundTable:
@@ -665,16 +655,45 @@ def read_round_table(path: str) -> RoundTable:
     32 well-formed tuples.  Each distinct row text after the round id is
     checked once and becomes one code of the returned table.
 
-    A file in the layout :func:`write_report` writes is read in blocks
-    (:func:`_read_blocks`): each block is accepted only when re-rendering
-    its codes gives back its bytes exactly, which checks every round id.
-    Any other file, irregular but valid ones (CRLF line endings, no final
-    newline, measures of several lengths) and bad ones alike, is read again
-    from the top one line at a time (:func:`_read_lines`), the only path
-    that raises a row error; both paths return the same table.
+    The file is opened and decoded once (UTF-8, universal newlines, so a
+    CRLF file reads as LF) and read a block of whole lines at a time.  A
+    block is split at its newlines (:func:`_block_texts`), so a last line
+    without a newline and measures of several lengths are ordinary lines,
+    and every round id is checked against :func:`_id_digits`.  Equal row
+    texts are grouped exactly, word by word (:func:`_equal_row_groups`):
+    no hash, so no collision.  The first line of each new text is checked
+    by :func:`_checked_row` at its own line number, so an error names the
+    first bad line and field.
     """
-    try:
-        table = _read_blocks(path)
-    except UnicodeDecodeError:
-        table = None
-    return _read_lines(path) if table is None else table
+    codes_by_text: dict[bytes, int] = {}
+    rows: list[tuple] = []
+    blocks = []
+    start = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if header != ROUND_TABLE_HEADER:
+            raise ValueError(f"unexpected round-table header in {path}: {header!r}")
+        for data in filter(None, _line_blocks(fh)):
+            starts, ends, pieces = _block_texts(data, start, path)
+            line_groups = np.empty(len(ends), dtype=np.intp)
+            first_lines = []
+            for at, texts in pieces:
+                order, new = _equal_row_groups(texts.view(np.uint64))
+                in_order = at[order]
+                line_groups[in_order] = len(first_lines) + np.cumsum(new) - 1
+                first_lines += np.minimum.reduceat(in_order, np.flatnonzero(new)).tolist()
+            order = np.argsort(first_lines)
+            codes = []
+            for i in np.take(first_lines, order).tolist():
+                text = data[starts[i] + len(str(start + i)) : ends[i]]
+                code = codes_by_text.get(text)
+                if code is None:
+                    rows.append(_checked_row(f"{start + i}{text.decode()}", start + i + 2, path))
+                    code = codes_by_text[text] = len(rows) - 1
+                codes.append(code)
+            codes = np.array(codes, dtype=np.min_scalar_type(len(rows)))
+            # codes are in first-line order; argsort(order) puts them in group order.
+            blocks.append(codes[np.argsort(order)][line_groups])
+            start += len(ends)
+    dtype = np.min_scalar_type(len(rows))
+    return RoundTable(np.concatenate(blocks, dtype=dtype) if blocks else np.empty(0, dtype), rows)

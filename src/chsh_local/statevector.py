@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from . import linalg
-from .descriptors import GateSpec, OutcomeSpec, as_index
+from .descriptors import GateSpec, OutcomeSpec, as_index, as_items
 from .linalg import MAX_QUBITS
 
 
@@ -115,7 +115,7 @@ def record_probabilities(state: StateVector, qubits) -> tuple[float, ...]:
     code are formed once, and each record sums the same entries in the same
     order as a per-record mask would.
     """
-    specs = OutcomeSpec.checked_record([(q, 0) for q in qubits], state.n)
+    specs = OutcomeSpec.checked_record([(q, 0) for q in as_items(qubits, "qubits")], state.n)
     if not specs:
         # The empty record is certain; the sum of every |amplitude|**2 is
         # only 1 up to rounding.

@@ -524,6 +524,36 @@ def test_non_int_indices_are_rejected_by_name(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GateSpec("X", 0), "targets must be a sequence, got 0"),
+        (lambda: GateSpec("CNOT", 1.5), "targets must be a sequence, got 1.5"),
+        (
+            lambda: descriptors.record_measures(bell_network(), 0),
+            "qubits must be a sequence, got 0",
+        ),
+        (
+            lambda: descriptors.joint_measure(bell_network(), 5),
+            "outcomes must be a sequence, got 5",
+        ),
+        (
+            lambda: statevector.record_probabilities(statevector.init_state(2), 0),
+            "qubits must be a sequence, got 0",
+        ),
+        (
+            lambda: statevector.outcome_probability(statevector.init_state(2), 5),
+            "outcomes must be a sequence, got 5",
+        ),
+    ],
+    ids=["gate-int", "gate-float", "record-int", "joint-int", "oracle-record-int",
+         "oracle-joint-int"],
+)
+def test_non_iterable_targets_and_records_are_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_numpy_integers_are_indices():
     assert descriptors.OutcomeSpec.checked((np.int64(1), np.uint8(0)), 2) == (1, 0)
     assert type(GateSpec("X", (np.int64(1),)).targets[0]) is int

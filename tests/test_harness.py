@@ -1,6 +1,7 @@
 """Tests for the tournament harness, geometry audit, and report files."""
 
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -353,6 +354,29 @@ def assert_same_table(table, reference):
     assert table.rows == reference.rows
 
 
+def read_lines_reference(path):
+    """Read a table one line at a time, checking each new row text in full.
+
+    The reference for :func:`harness.read_round_table`: the same codes,
+    code type and rows, or the same row error.
+    """
+    codes_by_suffix = {}
+    rows = []
+    codes = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if header != harness.ROUND_TABLE_HEADER:
+            raise ValueError(f"unexpected round-table header in {path}: {header!r}")
+        for round_id, line in enumerate(fh):
+            text_id, _, suffix = line.partition(",")
+            code = codes_by_suffix.get(suffix)
+            if code is None or text_id != str(round_id):
+                rows.append(harness._checked_row(line, round_id + 2, path))
+                code = codes_by_suffix[suffix] = len(rows) - 1
+            codes.append(code)
+    return RoundTable(np.array(codes, dtype=np.min_scalar_type(len(rows))), rows)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     mode=st.sampled_from(sorted(MODE_CONFIGS)),
@@ -367,7 +391,7 @@ def test_written_table_reads_back_as_played(mode, seed, rounds):
         harness.write_report(report, played, str(base / "run"))
         loaded = harness.read_round_table(str(base / "run.csv"))
         assert (base / "run.csv").read_bytes() == reference_csv(played)
-        assert_same_table(loaded, harness._read_lines(str(base / "run.csv")))
+        assert_same_table(loaded, read_lines_reference(str(base / "run.csv")))
         harness.write_report(report, loaded, str(base / "again"))
         assert (base / "again.csv").read_bytes() == (base / "run.csv").read_bytes()
     assert len(loaded) == rounds
@@ -412,6 +436,64 @@ def test_a_corrupted_field_is_rejected_with_its_line(mode, seed, rounds, data):
         path.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:{row + 2}: ")):
             harness.read_round_table(str(path))
+
+
+#: Characters the fuzz test writes into a table: those of a valid row and
+#: some no field accepts.
+FUZZ_CHARS = "0123456789,.\n\rx+-e "
+
+
+@functools.cache
+def fuzz_base() -> bytes:
+    """A written quantum table of three blocks' rounds, as bytes."""
+    report, played = harness.play_rounds(
+        TournamentConfig(rounds=3 * BLOCK_ROUNDS, mode="quantum", seed=41)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        harness.write_report(report, played, f"{tmp}/run")
+        return Path(f"{tmp}/run.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(("replace", "insert", "delete")),
+            st.integers(0, 2**32),
+            st.sampled_from(FUZZ_CHARS),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    drop_final_newline=st.booleans(),
+    crlf=st.booleans(),
+)
+def test_a_fuzzed_table_reads_as_the_reference_reads_it(edits, drop_final_newline, crlf):
+    data = bytearray(fuzz_base())
+    header = len(harness.ROUND_TABLE_HEADER) + 1
+    for kind, position, char in edits:
+        at = header + position % (len(data) - header)
+        if kind == "replace":
+            data[at] = ord(char)
+        elif kind == "insert":
+            data.insert(at, ord(char))
+        else:
+            del data[at]
+    if drop_final_newline and data.endswith(b"\n"):
+        del data[-1]
+    if crlf:
+        data = data.replace(b"\n", b"\r\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.csv"
+        path.write_bytes(bytes(data))
+        try:
+            reference = read_lines_reference(str(path))
+        except ValueError as error:
+            with pytest.raises(ValueError) as got:
+                harness.read_round_table(str(path))
+            assert str(got.value) == str(error)
+        else:
+            assert_same_table(harness.read_round_table(str(path)), reference)
 
 
 class TestReportFiles:
@@ -557,7 +639,7 @@ class TestReportFiles:
 
 
 class TestBlockReader:
-    """The block reader against the per-line reader it falls back to."""
+    """The block reader against the test-side per-line reference reader."""
 
     HEADER = "round_id,qa,qb,aa,ab,win,leaf_measure\n"
 
@@ -567,14 +649,6 @@ class TestBlockReader:
         )
         harness.write_report(report, played, str(tmp_path / "run"))
         return tmp_path / "run.csv"
-
-    def count_line_reads(self, monkeypatch):
-        calls = []
-        read_lines = harness._read_lines
-        monkeypatch.setattr(
-            harness, "_read_lines", lambda path: calls.append(path) or read_lines(path)
-        )
-        return calls
 
     @pytest.mark.parametrize(
         "rows, codes, records",
@@ -588,34 +662,66 @@ class TestBlockReader:
              [(0, 0, 0, 0, True, 1.0), (1, 1, 0, 1, True, 0.5), (0, 0, 0, 0, True, 1.0)]),
             ("0,1,1,0,1,1,0.5\n1,1,1,0,1,1,0.50\n2,1,1,0,1,1,0.5\n", [0, 1, 0],
              [(1, 1, 0, 1, True, 0.5), (1, 1, 0, 1, True, 0.5)]),
+            ("0,1,1,0,1,1,0.5\n1,1,1,0,1,1,0.5", [0, 1],
+             [(1, 1, 0, 1, True, 0.5), (1, 1, 0, 1, True, 0.5)]),
+            ("0,0,0,0,0,1,0." + "0" * (harness._READ_CHARS + 5) + "\n1,0,0,0,0,1,1.0\n", [0, 1],
+             [(0, 0, 0, 0, True, 0.0), (0, 0, 0, 0, True, 1.0)]),
+            ("0,0,0,0,0,1,0.1\n1,0,0,0,0,1,0.2\n2,0,0,0,0,1,0.1\n3,0,0,0,0,1,0.2\n",
+             [0, 1, 0, 1], [(0, 0, 0, 0, True, 0.1), (0, 0, 0, 0, True, 0.2)]),
         ],
-        ids=["no-final-newline", "crlf", "mixed-length-measures", "0.5-and-0.50"],
+        ids=["no-final-newline", "crlf", "mixed-length-measures", "0.5-and-0.50",
+             "last-text-without-newline", "line-longer-than-a-read", "one-first-word-two-texts"],
     )
     def test_irregular_valid_files_read_as_line_by_line(self, tmp_path, rows, codes, records):
         path = tmp_path / "odd.csv"
         path.write_bytes((self.HEADER + rows).encode())
         table = harness.read_round_table(str(path))
-        assert_same_table(table, harness._read_lines(str(path)))
+        assert_same_table(table, read_lines_reference(str(path)))
         assert table.codes.tolist() == codes
         assert table.rows == records
 
-    def test_crlf_copy_of_a_written_table_reads_the_same(self, tmp_path, monkeypatch):
+    def test_crlf_copy_of_a_written_table_reads_the_same(self, tmp_path):
         path = self.written(tmp_path)
         crlf = tmp_path / "crlf.csv"
         crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        reference = harness._read_lines(str(path))
-        calls = self.count_line_reads(monkeypatch)
-        assert_same_table(harness.read_round_table(str(crlf)), reference)
-        assert calls == []
+        assert_same_table(harness.read_round_table(str(crlf)), read_lines_reference(str(path)))
 
-    def test_table_is_unchanged_when_the_block_reader_gives_up(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("form", ["canonical", "crlf", "no-final-newline", "mixed-widths"])
+    def test_the_file_is_opened_once(self, tmp_path, monkeypatch, form):
         path = self.written(tmp_path)
-        calls = self.count_line_reads(monkeypatch)
-        table = harness.read_round_table(str(path))
-        assert calls == []
-        monkeypatch.setattr(harness, "_row_keys", lambda texts: np.zeros(len(texts), np.uint64))
-        assert_same_table(harness.read_round_table(str(path)), table)
-        assert calls == [str(path)]
+        data = path.read_bytes()
+        if form == "crlf":
+            data = data.replace(b"\n", b"\r\n")
+        elif form == "no-final-newline":
+            data = data[:-1]
+        elif form == "mixed-widths":
+            # Rounds asked qa = 1 lose their measure's last digit.
+            data = re.sub(rb"(?m)^([0-9]+,1,.*)[0-9]$", rb"\1", data)
+            assert len({len(line.partition(b",")[2]) for line in data.splitlines()[1:]}) == 2
+        path.write_bytes(data)
+        reference = read_lines_reference(str(path))
+        opened = []
+        monkeypatch.setattr(
+            harness, "open", lambda *args, **kw: opened.append(args[0]) or open(*args, **kw),
+            raising=False,
+        )
+        assert_same_table(harness.read_round_table(str(path)), reference)
+        assert opened == [str(path)]
+
+    def test_rows_that_share_a_first_word_still_group_whole(self):
+        words = np.array([[1, 5], [1, 6], [1, 5], [2, 5], [1, 6], [1, 5]], dtype=np.uint64)
+        order, starts = harness._equal_row_groups(words)
+        runs = np.split(words[order], np.flatnonzero(starts)[1:])
+        assert len(runs) == 3
+        assert all((run == run[0]).all() for run in runs)
+
+    def test_texts_of_several_widths_are_padded_past_their_own_ends(self):
+        data = b"0,1,1,0,1,1,0.25\n1,1,1,0,1,1,0.125\n2,1,1,0,1,1,0.25\n"
+        _, _, [(at, texts)] = harness._block_texts(data, 0, "odd.csv")
+        assert at.tolist() == [0, 1, 2]
+        assert texts[0].tobytes() == b",1,1,0,1,1,0.25\n" + b"\xff" * 8
+        assert texts[1].tobytes() == b",1,1,0,1,1,0.125\n" + b"\xff" * 7
+        assert (texts[2] == texts[0]).all()
 
     @pytest.mark.parametrize(
         "bad_fields, message",
@@ -637,10 +743,11 @@ class TestBlockReader:
     @pytest.mark.parametrize(
         "rows, message",
         [("\n", r"bad\.csv:2: expected 7 fields, got 1"),
-         # Cut at one width, these bytes re-render from two rows that each
-         # pass the row check, but the first holds no line break.
-         ("0,0,0,0,0,1,1.0001,0,0,0,0,1,1.0\n\n", r"bad\.csv:2: expected 7 fields, got 13")],
-        ids=["blank-line", "line-break-moved"],
+         # A line break moved one line on: each half of the first line
+         # looks like a row.
+         ("0,0,0,0,0,1,1.0001,0,0,0,0,1,1.0\n\n", r"bad\.csv:2: expected 7 fields, got 13"),
+         ("0,0,0,0,0,1,1.0\n1", r"bad\.csv:3: expected 7 fields, got 1")],
+        ids=["blank-line", "line-break-moved", "only-a-round-id"],
     )
     def test_bytes_that_only_look_canonical_are_rejected(self, tmp_path, rows, message):
         path = tmp_path / "bad.csv"
@@ -648,16 +755,16 @@ class TestBlockReader:
         with pytest.raises(ValueError, match=message):
             harness.read_round_table(str(path))
 
-    def test_a_file_that_is_not_utf8_fails_as_line_by_line(self, tmp_path):
+    def test_a_file_that_is_not_utf8_fails_with_a_decode_error(self, tmp_path):
         path = self.written(tmp_path)
         data = bytearray(path.read_bytes())
         data[len(data) // 2] = 0xFF
         path.write_bytes(bytes(data))
-        with pytest.raises(UnicodeDecodeError) as expected:
-            harness._read_lines(str(path))
         with pytest.raises(UnicodeDecodeError) as got:
             harness.read_round_table(str(path))
-        assert str(got.value) == str(expected.value)
+        assert isinstance(got.value, ValueError)
+        assert got.value.object[got.value.start] == 0xFF
+        assert "invalid start byte" in str(got.value)
 
     def test_rows_of_several_text_lengths_write_as_f_strings(self, tmp_path):
         rows = [(0, 0, 0, 0, True, 1.0), (1, 1, 0, 1, True, 12.5), (0, 1, 1, 1, True, 0.25)]
