@@ -12,7 +12,8 @@ Subcommands:
 * `verify` runs the picture-equivalence and locality suites and exits 0
   only when both pass; a circuit count below 1 is a bad input.
 
-Exit codes: 0 success; 1 a failed check or a bad input (`error: ...`);
+Exit codes: 0 success; 1 a failed check, a bad input or a round count too
+large to hold in memory (`error: ...`);
 2 a usage error; 3 a violated internal invariant, such as protocol drift
 or broken commutation (`error: invariant violated: ...`).
 """
@@ -243,7 +244,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RuntimeError as e:

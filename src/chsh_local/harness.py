@@ -18,8 +18,8 @@ only when a caller indexes or iterates the table.  The CSV is rendered in
 numpy byte blocks: each block is a matrix of round-id digits followed by
 one prebuilt text per code.  Reading a file back takes one pass: each block
 is split at its newlines, its round ids are checked against the same digit
-matrix, and equal row texts are grouped exactly, so each distinct text is
-checked once.
+matrix, and equal row texts are grouped by sorting them on exact 8-byte
+keys, so each distinct text is checked once.
 
 The geometry audit is bookkeeping, not transport simulation: it checks that
 the stations' answer window closes before light could carry a message
@@ -35,6 +35,7 @@ import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -414,6 +415,9 @@ def audit_geometry(geometry: Geometry) -> tuple[bool, dict]:
 #: Pads the shorter texts of a row-text table; no UTF-8 text holds this byte.
 _PAD = 0xFF
 
+#: `_BYTE_MASKS[n]` keeps the first n bytes of a little-endian uint64 word.
+_BYTE_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
 #: Characters of a CSV decoded and checked at a time by
 #: :func:`read_round_table`: about 4.7k rows of the 28-byte lines a table
 #: with 5-digit round ids has.  Half as many read a 20k-round table about
@@ -535,8 +539,11 @@ def _checked_row(line: str, line_no: int, path: str) -> tuple:
     if _PLAIN_DECIMAL.fullmatch(fields[6]) is None:
         raise bad(f"leaf_measure must be a number, got {fields[6]!r}")
     leaf_measure = float(fields[6])
-    if leaf_measure > 1.0:
-        raise bad(f"leaf_measure {leaf_measure} is not in [0, 1]")
+    # A numeral just above 1 can round to 1.0; its exact value decides, and
+    # then the message names the numeral.
+    if leaf_measure >= 1.0 and Decimal(fields[6]) > 1:
+        shown = fields[6] if leaf_measure == 1.0 else leaf_measure
+        raise bad(f"leaf_measure {shown} is not in [0, 1]")
     if not agrees:
         raise bad(
             f"win tag {fields[5]} contradicts the game rule "
@@ -558,33 +565,42 @@ def _line_blocks(fh):
     yield tail.encode()
 
 
-def _gather(data: bytes, offsets: np.ndarray, size: int) -> np.ndarray:
-    """The `size` bytes of `data` from each offset, as rows of a uint8 matrix.
+def _equal_text_runs(data: bytes, starts: np.ndarray, lengths: np.ndarray):
+    """An order of the texts `data[starts[i] : starts[i] + lengths[i]]` that
+    makes equal texts neighbours, and where in it each run of equal texts
+    starts.
 
-    Bytes past the end of `data` read as `_PAD`.
+    The texts are ordered by a series of exact keys: their first 8 bytes as
+    a little-endian uint64 masked to the text's length, then the length,
+    then the word at byte `min(k, length - 8)` for k = 8, 16, ..., which
+    lies inside any text longer than k.  A later key re-sorts the texts
+    within their runs only where it is out of order.  Runs of one text and
+    texts no later key can split are set aside, so a key is read only for
+    texts longer than k and costs O(lines) whatever the texts' lengths.
     """
-    data += bytes((_PAD,)) * size
-    items = np.ndarray((len(data) - size + 1,), dtype=f"V{size}", buffer=data, strides=(1,))
-    return items[offsets].view(np.uint8).reshape(len(offsets), size)
-
-
-def _equal_row_groups(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An order of the rows of `words` that makes equal rows neighbours, and
-    where in it each run of equal rows starts.
-
-    Sorting by the first word suffices when it tells the rows apart, as it
-    does for the row texts of every written table; otherwise the rows are
-    sorted by every word.  Neighbours are compared a word at a time across
-    all rows, so long texts cost no Python loop.
-    """
-    order = np.argsort(words[:, 0])
-    ordered = np.take(words.T, order, axis=1)
-    changes = ordered[:, 1:] != ordered[:, :-1]
-    if np.count_nonzero(np.logical_or.reduce(changes)) > np.count_nonzero(changes[0]):
-        order = np.lexsort(words.T[::-1])
-        ordered = np.take(words.T, order, axis=1)
-        changes = ordered[:, 1:] != ordered[:, :-1]
-    return order, np.concatenate(([True], np.logical_or.reduce(changes)))
+    words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=data + bytes(8), strides=(1,))
+    key = words[starts] & _BYTE_MASKS[np.minimum(lengths, 8)]
+    texts = np.argsort(key)
+    key = key[texts]
+    fresh = np.concatenate(([True], key[1:] != key[:-1]))
+    begin, size = starts[texts], lengths[texts]
+    done = []
+    for k in itertools.count(0, 8):
+        key = size if k == 0 else words[begin + np.minimum(size - 8, k)]
+        if resorted := ((key[1:] < key[:-1]) & ~fresh[1:]).any():
+            resort = np.lexsort((key, np.cumsum(fresh)))
+            texts, begin, size, key = texts[resort], begin[resort], size[resort], key[resort]
+        fresh[1:] |= key[1:] != key[:-1]
+        # Set aside the runs of one text and those the next key cannot split.
+        # Only a re-sort or the end of some texts calls for it, and the
+        # latter also ends the loop.
+        if resorted or size.min() <= k + 8:
+            keep = ~(fresh & np.concatenate((fresh[1:], [True]))) & (size > k + 8)
+            done.append((texts[~keep], fresh[~keep]))
+            texts, begin, size, fresh = texts[keep], begin[keep], size[keep], fresh[keep]
+        if not len(texts):
+            order, new = map(np.concatenate, zip(*done))
+            return order, np.flatnonzero(new)
 
 
 def _raise_first_bad_line(lines: bytes, start: int, path: str) -> None:
@@ -595,52 +611,6 @@ def _raise_first_bad_line(lines: bytes, start: int, path: str) -> None:
     for i, line in enumerate(lines.decode().removesuffix("\n").split("\n")):
         _checked_row(line, start + i + 2, path)
     raise RuntimeError(f"{path}: lines from {start + 2} failed a check but each line passes")
-
-
-def _block_texts(data: bytes, start: int, path: str):
-    """Split a block of lines, rounds `start, ...`, check its round ids and
-    pad its row texts to whole uint64 words.
-
-    Returns the lines' starts and ends in `data` and a list of
-    `(lines, texts)`: block indices of lines and their texts as one uint8
-    matrix, each text padded with `_PAD` to the matrix's width, a multiple
-    of 8 bytes.  Lines whose round ids have one length and whose lengths lie
-    in one range 2**(k-1) + 1 .. 2**k are read together: as a view of `data`
-    when they are consecutive and of one length, else gathered, so a block
-    of many line lengths still takes few numpy calls.  A bad round id, or a
-    line too short to hold one, makes :func:`_raise_first_bad_line` check
-    the block's lines.
-    """
-    raw = np.frombuffer(data, dtype=np.uint8)
-    # Each newline ends a line, and so does the block's last byte.
-    ends = np.flatnonzero(np.append(raw[:-1] == ord("\n"), True)) + 1
-    lengths = np.diff(ends, prepend=0)
-    starts = ends - lengths
-    classes = np.frexp(lengths - 1)[1]
-    pieces: dict[int, list] = {}
-    for lo, hi, digits in _digit_runs(start, start + len(ends)):
-        run = slice(lo - start, hi - start)
-        for k in np.flatnonzero(np.bincount(classes[run])).tolist():
-            at = np.flatnonzero(classes[run] == k) + run.start
-            widths = lengths[at] - digits
-            shortest, width = int(widths.min()), int(widths.max())
-            if shortest == width and at[-1] - at[0] == len(at) - 1:
-                lines = raw[starts[at[0]] : ends[at[-1]]].reshape(len(at), -1)
-            else:
-                lines = _gather(data, starts[at], digits + width)
-            ids = lines[:, :digits]
-            if shortest < 1 or not np.array_equal(ids, _id_digits(at + start, digits)):
-                _raise_first_bad_line(data, start, path)
-            texts = np.full((len(at), -(-width // 8) * 8), _PAD, dtype=np.uint8)
-            texts[:, :width] = lines[:, digits:]
-            # Past its own end a text has only pad bytes (_PAD is all ones).
-            past_end = np.arange(shortest, width) >= widths[:, None]
-            texts[:, shortest:width] |= -past_end.view(np.uint8)
-            pieces.setdefault(texts.shape[1], []).append((at, texts))
-    return starts, ends, [
-        same[0] if len(same) == 1 else tuple(np.concatenate(parts) for parts in zip(*same))
-        for same in pieces.values()
-    ]
 
 
 def read_round_table(path: str) -> RoundTable:
@@ -657,43 +627,47 @@ def read_round_table(path: str) -> RoundTable:
 
     The file is opened and decoded once (UTF-8, universal newlines, so a
     CRLF file reads as LF) and read a block of whole lines at a time.  A
-    block is split at its newlines (:func:`_block_texts`), so a last line
-    without a newline and measures of several lengths are ordinary lines,
-    and every round id is checked against :func:`_id_digits`.  Equal row
-    texts are grouped exactly, word by word (:func:`_equal_row_groups`):
-    no hash, so no collision.  The first line of each new text is checked
-    by :func:`_checked_row` at its own line number, so an error names the
-    first bad line and field.
+    block is split at its newlines, so a last line without a newline and
+    measures of several lengths are ordinary lines, and every round id is
+    checked against :func:`_id_digits`.  Equal row texts are grouped
+    exactly by :func:`_equal_text_runs`: no hash, so no collision.  The
+    first line of each new text is checked by :func:`_checked_row` at its
+    own line number, in line order, so an error names the first bad line
+    and field.
     """
     codes_by_text: dict[bytes, int] = {}
     rows: list[tuple] = []
-    blocks = []
+    blocks = [np.empty(0, dtype=np.uint8)]
     start = 0
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != ROUND_TABLE_HEADER:
             raise ValueError(f"unexpected round-table header in {path}: {header!r}")
         for data in filter(None, _line_blocks(fh)):
-            starts, ends, pieces = _block_texts(data, start, path)
-            line_groups = np.empty(len(ends), dtype=np.intp)
-            first_lines = []
-            for at, texts in pieces:
-                order, new = _equal_row_groups(texts.view(np.uint64))
-                in_order = at[order]
-                line_groups[in_order] = len(first_lines) + np.cumsum(new) - 1
-                first_lines += np.minimum.reduceat(in_order, np.flatnonzero(new)).tolist()
-            order = np.argsort(first_lines)
-            codes = []
-            for i in np.take(first_lines, order).tolist():
-                text = data[starts[i] + len(str(start + i)) : ends[i]]
-                code = codes_by_text.get(text)
-                if code is None:
+            # Each newline (byte 10) ends a line, and so does the block's last byte.
+            ends = np.flatnonzero(np.append(np.frombuffer(data, np.uint8)[:-1] == 10, True)) + 1
+            starts = np.append(0, ends[:-1])
+            text_starts = np.empty_like(starts)
+            for lo, hi, digits in _digit_runs(start, start + len(ends)):
+                at = slice(lo - start, hi - start)
+                text_starts[at] = starts[at] + digits
+                # A line shorter than its id ends in a newline or the zero pad.
+                items = np.ndarray(len(data) + 1, f"V{digits}", data + bytes(digits), strides=(1,))
+                if items[starts[at]].tobytes() != _id_digits(np.arange(lo, hi), digits).tobytes():
+                    _raise_first_bad_line(data, start, path)
+            order, run_starts = _equal_text_runs(data, text_starts, ends - text_starts)
+            run_codes = np.empty(len(run_starts), dtype=np.intp)
+            # Each run is looked up at its first line, in line order, so the
+            # first bad line is the one an error names.
+            first_lines = np.minimum.reduceat(order, run_starts).tolist()
+            for i, run in sorted(zip(first_lines, itertools.count())):
+                text = data[text_starts[i] : ends[i]]
+                if text not in codes_by_text:
                     rows.append(_checked_row(f"{start + i}{text.decode()}", start + i + 2, path))
-                    code = codes_by_text[text] = len(rows) - 1
-                codes.append(code)
-            codes = np.array(codes, dtype=np.min_scalar_type(len(rows)))
-            # codes are in first-line order; argsort(order) puts them in group order.
-            blocks.append(codes[np.argsort(order)][line_groups])
+                    codes_by_text[text] = len(rows) - 1
+                run_codes[run] = codes_by_text[text]
+            codes = np.empty(len(ends), dtype=np.min_scalar_type(len(rows)))
+            codes[order] = np.repeat(run_codes, np.diff(run_starts, append=len(ends)))
+            blocks.append(codes)
             start += len(ends)
-    dtype = np.min_scalar_type(len(rows))
-    return RoundTable(np.concatenate(blocks, dtype=dtype) if blocks else np.empty(0, dtype), rows)
+    return RoundTable(np.concatenate(blocks, dtype=np.min_scalar_type(len(rows))), rows)

@@ -109,6 +109,14 @@ class TestPlay:
         assert (tmp_path / "out.json").exists()
         assert (tmp_path / "out.csv").exists()
 
+    def test_a_round_count_too_large_to_hold_is_an_error(self, capsys):
+        # 2**62 one-byte codes exceed any 64-bit address space, so the
+        # allocation is refused at once and nothing is allocated.
+        code, out, err = run_cli(capsys, "play", "--mode", "classical", "--rounds", str(2**62))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_quantum_exact_rates(self, capsys):
         code, out, _ = run_cli(
             capsys, "play", "--mode", "quantum", "--sampling", "exact", "--rounds", "400"

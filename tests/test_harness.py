@@ -403,7 +403,9 @@ BAD_FIELD_TEXTS = {
     "round_id": ["x", "", "-1", "1.0", "0,0"],
     "bit": ["2", "", "x", "-0", " 1", "00", "0,0"],
     "win": ["2", "", "true", "0,0"],
-    "leaf_measure": ["", "x", "1.5", "-0.5", "nan", "1e0", "+1.0", "1.000000001", "0,0"],
+    "leaf_measure": [
+        "", "x", "1.5", "-0.5", "nan", "1e0", "+1.0", "1.000000001", "1.00000000000000001", "0,0"
+    ],
 }
 FIELD_KINDS = ("round_id", "bit", "bit", "bit", "bit", "win", "leaf_measure")
 
@@ -443,9 +445,23 @@ def test_a_corrupted_field_is_rejected_with_its_line(mode, seed, rounds, data):
 FUZZ_CHARS = "0123456789,.\n\rx+-e "
 
 
+#: Measures of several lengths that share their first digits, so that row
+#: texts share their first 8 bytes and are told apart only by later keys.
+SHARED_PREFIX_MEASURES = ("0.1", "0.2", "0.25", "0.250", "0.125", "0.1250001", "1", "0.99")
+
+
 @functools.cache
-def fuzz_base() -> bytes:
-    """A written quantum table of three blocks' rounds, as bytes."""
+def fuzz_base(shape: str) -> bytes:
+    """A table of three blocks' rounds, as bytes.
+
+    `written` is a quantum table as :func:`harness.write_report` writes it;
+    `shared-prefix` has all bits 0 and measures from `SHARED_PREFIX_MEASURES`.
+    """
+    if shape == "shared-prefix":
+        picks = np.random.default_rng(43).integers(0, len(SHARED_PREFIX_MEASURES), 3 * BLOCK_ROUNDS)
+        return (harness.ROUND_TABLE_HEADER + "\n" + "".join(
+            f"{i},0,0,0,0,1,{SHARED_PREFIX_MEASURES[m]}\n" for i, m in enumerate(picks.tolist())
+        )).encode()
     report, played = harness.play_rounds(
         TournamentConfig(rounds=3 * BLOCK_ROUNDS, mode="quantum", seed=41)
     )
@@ -454,8 +470,9 @@ def fuzz_base() -> bytes:
         return Path(f"{tmp}/run.csv").read_bytes()
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
+    shape=st.sampled_from(("written", "shared-prefix")),
     edits=st.lists(
         st.tuples(
             st.sampled_from(("replace", "insert", "delete")),
@@ -468,8 +485,8 @@ def fuzz_base() -> bytes:
     drop_final_newline=st.booleans(),
     crlf=st.booleans(),
 )
-def test_a_fuzzed_table_reads_as_the_reference_reads_it(edits, drop_final_newline, crlf):
-    data = bytearray(fuzz_base())
+def test_a_fuzzed_table_reads_as_the_reference_reads_it(shape, edits, drop_final_newline, crlf):
+    data = bytearray(fuzz_base(shape))
     header = len(harness.ROUND_TABLE_HEADER) + 1
     for kind, position, char in edits:
         at = header + position % (len(data) - header)
@@ -577,12 +594,17 @@ class TestReportFiles:
         with pytest.raises(ValueError, match=r"bad\.csv:2: win tag must be 0 or 1"):
             harness.read_round_table(str(path))
 
-    @pytest.mark.parametrize("measure", ["nan", "inf", "-inf", "-0.000000001", "1.000000001"])
+    @pytest.mark.parametrize(
+        "measure", ["nan", "inf", "-inf", "-0.000000001", "1.000000001", "1.00000000000000001"]
+    )
     def test_read_back_rejects_leaf_measure_outside_unit_interval(self, tmp_path, measure):
         path = tmp_path / "bad.csv"
         path.write_text(f"round_id,qa,qb,aa,ab,win,leaf_measure\n0,0,0,0,0,1,{measure}\n")
-        with pytest.raises(ValueError, match=r"bad\.csv:2: leaf_measure"):
+        with pytest.raises(ValueError, match=r"bad\.csv:2: leaf_measure") as caught:
             harness.read_round_table(str(path))
+        if float(measure) == 1.0:
+            # The measure reads as 1.0, so the message names the numeral.
+            assert f"leaf_measure {measure} is not in [0, 1]" in str(caught.value)
 
     @pytest.mark.parametrize(
         "row, message",
@@ -636,6 +658,10 @@ class TestReportFiles:
         cfg = classical_cfg(rounds=2, output_path=str(tmp_path / "no" / "such" / "dir" / "x"))
         with pytest.raises(OSError):
             harness.run_tournament(cfg)
+
+
+#: Rounds 0-9 of a valid table.
+TEN_ROWS = "".join(f"{i},0,0,0,0,1,1.0\n" for i in range(10))
 
 
 class TestBlockReader:
@@ -708,20 +734,33 @@ class TestBlockReader:
         assert_same_table(harness.read_round_table(str(path)), reference)
         assert opened == [str(path)]
 
-    def test_rows_that_share_a_first_word_still_group_whole(self):
-        words = np.array([[1, 5], [1, 6], [1, 5], [2, 5], [1, 6], [1, 5]], dtype=np.uint64)
-        order, starts = harness._equal_row_groups(words)
-        runs = np.split(words[order], np.flatnonzero(starts)[1:])
-        assert len(runs) == 3
-        assert all((run == run[0]).all() for run in runs)
-
-    def test_texts_of_several_widths_are_padded_past_their_own_ends(self):
-        data = b"0,1,1,0,1,1,0.25\n1,1,1,0,1,1,0.125\n2,1,1,0,1,1,0.25\n"
-        _, _, [(at, texts)] = harness._block_texts(data, 0, "odd.csv")
-        assert at.tolist() == [0, 1, 2]
-        assert texts[0].tobytes() == b",1,1,0,1,1,0.25\n" + b"\xff" * 8
-        assert texts[1].tobytes() == b",1,1,0,1,1,0.125\n" + b"\xff" * 7
-        assert (texts[2] == texts[0]).all()
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            [b",0,0,0,0,1,0.1\n", b",0,0,0,0,1,0.2\n", b",0,0,0,0,1,0.1\n", b",0,0,0,0,1,0.2\n"],
+            [b",1,1,0,1,1,0.25\n", b",1,1,0,1,1,0.250\n", b",1,1,0,1,1,0.25\n",
+             b",1,1,0,1,1,0.2500\n"],
+            [b",1\n", b",1,0\n", b",1\n", b"\n", b",1,0\n", b",1,0.5\n", b"\n", b",1\n"],
+            [b",0,0,0,0,1,1.0\n", b",0,0,0,0,1,1.0\n", b",0,0,0,0,1,1.0"],
+            [b",1,1,0,1,1,0." + b"7" * 40 + b"\n", b",1,1,0,1,1,0." + b"7" * 39 + b"8\n",
+             b",1,1,0,1,1,0." + b"7" * 40 + b"\n"],
+            # Equal first words, and the second text's word at byte 8 is the
+            # first text's at byte 7: only their lengths tell them apart.
+            [b",0,0,0,0,1,0.5\n", b",0,0,0,00,1,0.5\n", b",0,0,0,0,1,0.5\n"],
+        ],
+        ids=["shared-first-word", "prefix", "shorter-than-a-word", "last-without-newline",
+             "differ-in-the-last-byte", "same-word-one-byte-later"],
+    )
+    def test_each_equal_text_run_holds_the_lines_of_one_text(self, texts):
+        # Round ids of varying length lie between the texts, as in a block.
+        data = b"".join(f"{i * 37}".encode() + text for i, text in enumerate(texts))
+        ends = np.cumsum([len(f"{i * 37}") + len(text) for i, text in enumerate(texts)])
+        lengths = np.array([len(text) for text in texts])
+        order, run_starts = harness._equal_text_runs(data, ends - lengths, lengths)
+        assert sorted(order.tolist()) == list(range(len(texts)))
+        runs = [{texts[i] for i in run} for run in np.split(order, run_starts[1:])]
+        assert all(len(run) == 1 for run in runs)
+        assert len(runs) == len(set(texts))
 
     @pytest.mark.parametrize(
         "bad_fields, message",
@@ -746,8 +785,12 @@ class TestBlockReader:
          # A line break moved one line on: each half of the first line
          # looks like a row.
          ("0,0,0,0,0,1,1.0001,0,0,0,0,1,1.0\n\n", r"bad\.csv:2: expected 7 fields, got 13"),
-         ("0,0,0,0,0,1,1.0\n1", r"bad\.csv:3: expected 7 fields, got 1")],
-        ids=["blank-line", "line-break-moved", "only-a-round-id"],
+         ("0,0,0,0,0,1,1.0\n1", r"bad\.csv:3: expected 7 fields, got 1"),
+         # Round 10's line is shorter than its id, inside a block and at its end.
+         (TEN_ROWS + "1\n11,0,0,0,0,1,1.0\n", r"bad\.csv:12: expected 7 fields, got 1"),
+         (TEN_ROWS + "1", r"bad\.csv:12: expected 7 fields, got 1")],
+        ids=["blank-line", "line-break-moved", "only-a-round-id", "shorter-than-its-id",
+             "last-line-shorter-than-its-id"],
     )
     def test_bytes_that_only_look_canonical_are_rejected(self, tmp_path, rows, message):
         path = tmp_path / "bad.csv"
@@ -790,3 +833,23 @@ class TestBlockReader:
 
         small, large = 3 * BLOCK_ROUNDS, 30 * BLOCK_ROUNDS
         assert peak(large) - peak(small) < 4 * (large - small)
+
+    def test_a_very_long_measure_keeps_the_read_buffers_small(self, tmp_path):
+        report, played = harness.play_rounds(TournamentConfig(rounds=4000, mode="quantum", seed=8))
+        harness.write_report(report, played, str(tmp_path / "run"))
+        path = tmp_path / "run.csv"
+        lines = path.read_bytes().split(b"\n")
+        fields = lines[11].split(b",")
+        fields[6] = b"0." + b"3" * 99_999
+        lines[11] = b",".join(fields)
+        path.write_bytes(b"\n".join(lines))
+        tracemalloc.start()
+        try:
+            table = harness.read_round_table(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_table(table, read_lines_reference(str(path)))
+        assert table[10].leaf_measure == float(b"0." + b"3" * 99_999)
+        # Padding the first block's texts to its widest one would take about 100 MiB.
+        assert peak < 4 * 2**20
