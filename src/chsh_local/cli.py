@@ -32,17 +32,20 @@ from .harness import Geometry, TournamentConfig
 #: Flag spellings of the sampling modes.
 _SAMPLING_BY_FLAG = {"exact": "exact_measure", "mc": "monte_carlo"}
 
-_CONFIG_KEYS = (
-    "rounds",
-    "mode",
-    "seed",
-    "sampling",
-    "out",
-    "strategy",
-    "weights",
-    "distance",
-    "window",
-)
+#: Each `play` option and its default.  An option is resolved as its flag,
+#: else the config key of the same name, else this default; a config file
+#: may hold no other key.
+_PLAY_DEFAULTS = {
+    "rounds": 1000,
+    "mode": "quantum",
+    "seed": 0,
+    "sampling": "mc",
+    "out": None,
+    "strategy": None,
+    "weights": None,
+    "distance": Geometry.distance_light_minutes,
+    "window": Geometry.answer_window_minutes,
+}
 
 
 def _parse_strategy(text: str) -> DeterministicStrategy:
@@ -63,19 +66,10 @@ def _load_config(path: str) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"config {path} must hold a JSON object")
-    unknown = set(config) - set(_CONFIG_KEYS)
+    unknown = set(config) - set(_PLAY_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
     return config
-
-
-def _merged(args: argparse.Namespace, config: dict, key: str, fallback):
-    flag = getattr(args, key)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return fallback
 
 
 def _cmd_enumerate(_args: argparse.Namespace) -> int:
@@ -90,13 +84,13 @@ def _cmd_enumerate(_args: argparse.Namespace) -> int:
 
 def _cmd_play(args: argparse.Namespace) -> int:
     config = _load_config(args.config) if args.config else {}
-    mode = _merged(args, config, "mode", "quantum")
-    sampling = _merged(args, config, "sampling", "mc")
-    sampling = _SAMPLING_BY_FLAG.get(sampling, sampling)
-    strategy = _merged(args, config, "strategy", None)
+    opts = {
+        key: config.get(key, default) if getattr(args, key) is None else getattr(args, key)
+        for key, default in _PLAY_DEFAULTS.items()
+    }
+    mode, strategy, weights = opts["mode"], opts["strategy"], opts["weights"]
     if isinstance(strategy, str):
         strategy = _parse_strategy(strategy)
-    weights = _merged(args, config, "weights", None)
     if weights is not None:
         weights = _parse_weights(weights)
     if mode == "classical" and strategy is None:
@@ -104,17 +98,15 @@ def _cmd_play(args: argparse.Namespace) -> int:
     if mode == "mixed" and weights is None:
         weights = tuple(Fraction(1, 16) for _ in range(16))
     cfg = TournamentConfig(
-        rounds=_merged(args, config, "rounds", 1000),
+        rounds=opts["rounds"],
         mode=mode,
-        seed=_merged(args, config, "seed", 0),
-        sampling=sampling,
+        seed=opts["seed"],
+        # A config value may be any JSON value; a list is not a dict key.
+        sampling=_SAMPLING_BY_FLAG.get(str(opts["sampling"]), opts["sampling"]),
         strategy=strategy,
         weights=weights,
-        geometry=Geometry(
-            _merged(args, config, "distance", Geometry.distance_light_minutes),
-            _merged(args, config, "window", Geometry.answer_window_minutes),
-        ),
-        output_path=_merged(args, config, "out", None),
+        geometry=Geometry(opts["distance"], opts["window"]),
+        output_path=opts["out"],
     )
     report = harness.run_tournament(cfg)
     if cfg.mode == "quantum" and not report.isolation:

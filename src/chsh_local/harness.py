@@ -14,12 +14,14 @@ integer, and the report says so).
 A played tournament is a :class:`RoundTable`: one outcome code per round,
 `pair * width + choice`, indexing a short table of record rows.  Rounds stay
 codes from the draw to the CSV and back; a :class:`RoundRecord` is built
-only when a caller indexes or iterates the table.  The CSV is rendered in
-numpy byte blocks: each block is a matrix of round-id digits followed by
-one prebuilt text per code.  Reading a file back takes one pass: each block
-is split at its newlines, its round ids are checked against the same digit
-matrix, and equal row texts are grouped by sorting them on exact 8-byte
-keys, so each distinct text is checked once.
+only when a caller indexes or iterates the table.  The writer checks each
+row's text with the reader's own row check before it opens a file, so it
+writes only files the reader accepts, and every valid row text has one
+length.  The CSV is rendered in numpy byte blocks: each block is a matrix
+of round-id digits followed by one prebuilt text per code.  Reading a file
+back takes one pass: each block is split at its newlines, its round ids are
+checked against the same digit matrix, and equal row texts are grouped by
+sorting them on exact 8-byte keys, so each distinct text is checked once.
 
 The geometry audit is bookkeeping, not transport simulation: it checks that
 the stations' answer window closes before light could carry a message
@@ -34,7 +36,7 @@ import math
 import operator
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -213,7 +215,12 @@ class RoundTable(Sequence):
 
 @dataclass(frozen=True)
 class PairStats:
-    """Per-question-pair tallies; `rate` is None for a pair never asked."""
+    """Per-question-pair tallies.
+
+    Under `monte_carlo` sampling `rate` is None for a pair never asked;
+    under `exact_measure` it is the pair's winning measure whether or not
+    the pair was asked.
+    """
 
     count: int
     wins: int
@@ -237,30 +244,15 @@ class TournamentReport:
     isolation: bool
 
     def to_dict(self) -> dict:
-        """JSON-ready form; floats rounded to 9 decimals for stable output.
+        """JSON-ready form: the fields by `dataclasses.asdict`, floats rounded
+        to 9 decimals for stable output.
 
-        The rate of a pair never asked is None, written as JSON null.
+        Under `monte_carlo` sampling the rate of a pair never asked is None,
+        written as JSON null.
         """
-        return {
-            "total_rounds": self.total_rounds,
-            "wins": self.wins,
-            "win_rate": round(self.win_rate, 9),
-            "per_pair": {
-                key: {
-                    "count": stats.count,
-                    "wins": stats.wins,
-                    "rate": None if stats.rate is None else round(stats.rate, 9),
-                }
-                for key, stats in self.per_pair.items()
-            },
-            "classical_ceiling": round(self.classical_ceiling, 9),
-            "quantum_value": round(self.quantum_value, 9),
-            "seed": self.seed,
-            "mode": self.mode,
-            "sampling": self.sampling,
-            "analytic": self.analytic,
-            "isolation": self.isolation,
-        }
+        return asdict(self, dict_factory=lambda items: {
+            key: round(value, 9) if isinstance(value, float) else value for key, value in items
+        })
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,9 +326,8 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, RoundTable]:
     isolated, _ = audit_geometry(cfg.geometry)
     table = _outcome_table(cfg)
     width = len(table[0])
-    edges = [np.cumsum([float(p) for p, *_ in outcomes]) for outcomes in table]
-    for pair_edges in edges:
-        pair_edges[-1] = 1.0
+    edges = np.cumsum([[float(p) for p, *_ in outcomes] for outcomes in table], axis=1)
+    edges[:, -1] = 1.0
     rows = [
         (q.qa, q.qb, aa, ab, win_predicate(q, aa, ab), measure)
         for q, outcomes in zip(QUESTION_PAIRS, table)
@@ -351,9 +342,7 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, RoundTable]:
         pair = 2 * questions[:, 0] + questions[:, 1]
         codes = pair * width
         if not analytic:
-            for p, pair_edges in enumerate(edges):
-                asked = pair == p
-                codes[asked] += np.searchsorted(pair_edges, u[asked, 2], side="right")
+            codes += (edges[pair] <= u[:, 2, None]).sum(axis=1)
             played[start:stop] = codes
         counts += np.bincount(codes, minlength=counts.size)
 
@@ -412,9 +401,6 @@ def audit_geometry(geometry: Geometry) -> tuple[bool, dict]:
     return isolated, report
 
 
-#: Pads the shorter texts of a row-text table; no UTF-8 text holds this byte.
-_PAD = 0xFF
-
 #: `_BYTE_MASKS[n]` keeps the first n bytes of a little-endian uint64 word.
 _BYTE_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
@@ -423,13 +409,6 @@ _BYTE_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 #: with 5-digit round ids has.  Half as many read a 20k-round table about
 #: 10 % slower; twice as many are no faster.
 _READ_CHARS = 1 << 17
-
-
-def _text_table(texts: list[bytes]) -> np.ndarray:
-    """Row texts as one uint8 matrix: row c is text c, padded with `_PAD`."""
-    width = max(map(len, texts), default=0)
-    padded = b"".join(text.ljust(width, bytes((_PAD,))) for text in texts)
-    return np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), width)
 
 
 def _digit_runs(start: int, stop: int):
@@ -460,17 +439,16 @@ def _id_digits(ids: np.ndarray, digits: int) -> np.ndarray:
 def _render_rows(codes: np.ndarray, text_table: np.ndarray, start: int) -> bytes:
     """The CSV lines of rounds `start, start + 1, ...` with these codes.
 
-    Each run of round ids with the same number of digits is one uint8
-    matrix: :func:`_id_digits`, then `text_table[codes]`.  Pad bytes of
-    shorter texts are dropped.
+    `text_table` holds one row text per code, all of one length.  Each run
+    of round ids with the same number of digits is one uint8 matrix:
+    :func:`_id_digits`, then `text_table[codes]`.
     """
     texts = np.take(text_table, codes, axis=0)
-    padded = bool((text_table == _PAD).any())
     lines = []
     for lo, hi, digits in _digit_runs(start, start + len(codes)):
         ids = np.arange(lo, hi, dtype=np.int64)
         matrix = np.concatenate((_id_digits(ids, digits), texts[lo - start : hi - start]), axis=1)
-        lines.append((matrix[matrix != _PAD] if padded else matrix).tobytes())
+        lines.append(matrix.tobytes())
     return b"".join(lines)
 
 
@@ -480,18 +458,25 @@ def write_report(report: TournamentReport, rounds: RoundTable, path: str) -> Non
     The table format is fixed: the exact header, booleans as 0/1, measures
     with 9 decimals, and newline line endings, so identical runs produce
     byte-identical files.  The text of a row after its round id is
-    formatted once per code of the table, and the CSV is rendered
-    `BLOCK_ROUNDS` rounds at a time as numpy byte blocks
-    (:func:`_render_rows`), so no per-round Python object is built.
+    formatted once per row of the table and checked by :func:`_checked_row`,
+    the reader's own check, and the summary is rendered as strict JSON,
+    before either file is opened: a row :func:`read_round_table` would
+    reject, or a non-finite float in the summary, is a `ValueError` and
+    writes nothing.  A valid row text is always 23 bytes, so the CSV is
+    rendered `BLOCK_ROUNDS` rounds at a time as numpy byte blocks
+    (:func:`_render_rows`) and no per-round Python object is built.
     """
-    with open(f"{path}.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    text_table = _text_table([
-        f",{qa},{qb},{aa},{ab},{int(win)},{measure:.9f}\n".encode()
+    summary = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+    texts = [
+        f",{qa},{qb},{aa},{ab},{int(win)},{measure:.9f}\n"
         for qa, qb, aa, ab, win, measure in rounds.rows
-    ])
+    ]
+    for c, text in enumerate(texts):
+        _checked_row(f"0{text}", 0, f"{path}.csv rows[{c}]")
+    text_table = np.array([np.frombuffer(text.encode(), np.uint8) for text in texts])
     codes = rounds.codes
+    with open(f"{path}.json", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{summary}\n")
     with open(f"{path}.csv", "wb") as fh:
         fh.write(f"{ROUND_TABLE_HEADER}\n".encode())
         for start in range(0, len(codes), BLOCK_ROUNDS):
@@ -513,14 +498,14 @@ _ROW_FIELDS = {
 _PLAIN_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 
-def _checked_row(line: str, line_no: int, path: str) -> tuple:
-    """Check one CSV line in full and return its record row.
+def _checked_row(line: str, round_id: int, where: str) -> tuple:
+    """Check one CSV line of round `round_id` in full and return its record row.
 
     The row is `(qa, qb, aa, ab, win, leaf_measure)`; a violation raises
-    `ValueError` naming `path:line_no` and the field.
+    `ValueError` naming `where` (such as `path:line`) and the field.
     """
     def bad(message: str) -> ValueError:
-        return ValueError(f"{path}:{line_no}: {message}")
+        return ValueError(f"{where}: {message}")
 
     fields = line.rstrip("\n").split(",")
     if len(fields) != 7:
@@ -531,7 +516,6 @@ def _checked_row(line: str, line_no: int, path: str) -> tuple:
             if value not in ("0", "1"):
                 raise bad(f"{name} must be 0 or 1, got {value!r}")
     (qa, qb, aa, ab, win), agrees = entry
-    round_id = line_no - 2
     if fields[0] != str(round_id):
         if fields[0].isascii() and fields[0].isdigit():
             raise bad(f"round_id {fields[0]}, expected {round_id}")
@@ -609,7 +593,7 @@ def _raise_first_bad_line(lines: bytes, start: int, path: str) -> None:
     Every line is checked in full by :func:`_checked_row`, in order.
     """
     for i, line in enumerate(lines.decode().removesuffix("\n").split("\n")):
-        _checked_row(line, start + i + 2, path)
+        _checked_row(line, start + i, f"{path}:{start + i + 2}")
     raise RuntimeError(f"{path}: lines from {start + 2} failed a check but each line passes")
 
 
@@ -663,7 +647,8 @@ def read_round_table(path: str) -> RoundTable:
             for i, run in sorted(zip(first_lines, itertools.count())):
                 text = data[text_starts[i] : ends[i]]
                 if text not in codes_by_text:
-                    rows.append(_checked_row(f"{start + i}{text.decode()}", start + i + 2, path))
+                    line = f"{start + i}{text.decode()}"
+                    rows.append(_checked_row(line, start + i, f"{path}:{start + i + 2}"))
                     codes_by_text[text] = len(rows) - 1
                 run_codes[run] = codes_by_text[text]
             codes = np.empty(len(ends), dtype=np.min_scalar_type(len(rows)))

@@ -2,16 +2,38 @@
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from chsh_local import cli, harness, verify
+from chsh_local.game import DeterministicStrategy
 
 COS2_PI_8 = 0.8535533905932737
 
 
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
+
+
+#: Per `play` option: a config value, a flag value, the config field the
+#: option resolves to, and that field's value with neither, from the config
+#: alone, and with the flag as well.
+PLAY_OPTIONS = {
+    "rounds": (50, "20", lambda c: c.rounds, (1000, 50, 20)),
+    "mode": ("classical", "mixed", lambda c: c.mode, ("quantum", "classical", "mixed")),
+    "seed": (9, "3", lambda c: c.seed, (0, 9, 3)),
+    "sampling": ("exact", "mc", lambda c: c.sampling,
+                 ("monte_carlo", "exact_measure", "monte_carlo")),
+    "out": ("from-config", "from-flag", lambda c: c.output_path,
+            (None, "from-config", "from-flag")),
+    "strategy": ([0, 1, 1, 0], "1001", lambda c: c.strategy,
+                 (None, DeterministicStrategy(0, 1, 1, 0), DeterministicStrategy(1, 0, 0, 1))),
+    "weights": ([1] + [0] * 15, ",".join(["0"] * 15 + ["1"]), lambda c: c.weights,
+                (None, (1,) + (0,) * 15, (0,) * 15 + (Fraction(1),))),
+    "distance": (40, "50", lambda c: c.geometry.distance_light_minutes, (30.0, 40, 50.0)),
+    "window": (2, "3", lambda c: c.geometry.answer_window_minutes, (5.0, 2, 3.0)),
+}
 
 
 def run_cli(capsys, *argv):
@@ -166,10 +188,11 @@ class TestPlay:
             ({"mode": "quantum", "weights": 5}, "weights must be a list of 16"),
             ({"distance": [1]}, "geometry must be"),
             ({"window": "5"}, "geometry must be"),
+            ({"sampling": ["mc"]}, "sampling must be one of"),
         ],
         ids=["strategy-int", "strategy-bit-2", "strategy-three-bits", "strategy-bools",
              "weights-int", "weights-object", "quantum-strategy-int", "quantum-weights-int",
-             "distance-list", "window-string"],
+             "distance-list", "window-string", "sampling-list"],
     )
     def test_config_value_of_the_wrong_type_is_an_error(self, capsys, tmp_path, config, message):
         path = tmp_path / "cfg.json"
@@ -235,6 +258,28 @@ class TestPlay:
         assert code == 0
         assert json.loads(out)["isolation"] is False
         assert "not isolated" in err
+
+    def test_the_option_table_holds_every_play_option(self):
+        dests = set(vars(cli._parser().parse_args(["play"]))) - {"command", "config"}
+        assert set(cli._PLAY_DEFAULTS) == dests == set(PLAY_OPTIONS)
+
+    @pytest.mark.parametrize("key", list(cli._PLAY_DEFAULTS))
+    def test_each_option_reads_its_config_key_and_its_flag_wins(
+        self, capsys, tmp_path, monkeypatch, key
+    ):
+        config_value, flag, field, expected = PLAY_OPTIONS[key]
+        played = []
+
+        def play(cfg):
+            played.append(cfg)
+            return harness.play_rounds(cfg)[0]
+
+        monkeypatch.setattr(harness, "run_tournament", play)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: config_value}))
+        for argv in ([], ["--config", str(path)], ["--config", str(path), f"--{key}", flag]):
+            assert run_cli(capsys, "play", *argv)[0] == 0
+        assert tuple(map(field, played)) == expected
 
 
 class TestVerify:

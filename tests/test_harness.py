@@ -371,7 +371,7 @@ def read_lines_reference(path):
             text_id, _, suffix = line.partition(",")
             code = codes_by_suffix.get(suffix)
             if code is None or text_id != str(round_id):
-                rows.append(harness._checked_row(line, round_id + 2, path))
+                rows.append(harness._checked_row(line, round_id, f"{path}:{round_id + 2}"))
                 code = codes_by_suffix[suffix] = len(rows) - 1
             codes.append(code)
     return RoundTable(np.array(codes, dtype=np.min_scalar_type(len(rows))), rows)
@@ -809,13 +809,45 @@ class TestBlockReader:
         assert got.value.object[got.value.start] == 0xFF
         assert "invalid start byte" in str(got.value)
 
-    def test_rows_of_several_text_lengths_write_as_f_strings(self, tmp_path):
-        rows = [(0, 0, 0, 0, True, 1.0), (1, 1, 0, 1, True, 12.5), (0, 1, 1, 1, True, 0.25)]
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((1, 1, 0, 1, True, 12.5), "leaf_measure 12.5 is not in [0, 1]"),
+            ((1, 1, 0, 1, True, -0.0), "leaf_measure must be a number, got '-0.000000000'"),
+            ((1, 1, 0, 1, True, math.nan), "leaf_measure must be a number, got 'nan'"),
+            ((1, 1, 0, 0, True, 0.5), "win tag 1 contradicts the game rule"),
+            ((True, 1, 0, 1, True, 0.5), "qa must be 0 or 1, got 'True'"),
+        ],
+        ids=["measure-12.5", "measure-minus-zero", "measure-nan", "contradicting-win-tag",
+             "qa-True"],
+    )
+    def test_a_row_the_reader_would_reject_is_refused_before_either_file_opens(
+        self, tmp_path, row, message
+    ):
+        rows = [(0, 0, 0, 0, True, 1.0), row, (0, 1, 1, 1, True, 0.25)]
         codes = np.random.default_rng(3).integers(0, 3, 2 * BLOCK_ROUNDS + 5).astype(np.uint8)
-        table = RoundTable(codes, rows)
         report, _ = harness.play_rounds(classical_cfg(rounds=1))
-        harness.write_report(report, table, str(tmp_path / "run"))
-        assert (tmp_path / "run.csv").read_bytes() == reference_csv(table)
+        base = tmp_path / "run"
+        with pytest.raises(ValueError, match=re.escape(f"{base}.csv rows[1]: {message}")):
+            harness.write_report(report, RoundTable(codes, rows), str(base))
+        assert not (tmp_path / "run.json").exists()
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_a_summary_that_is_not_strict_json_is_refused_before_either_file_opens(
+        self, tmp_path
+    ):
+        report, played = harness.play_rounds(classical_cfg(rounds=10))
+        report = dataclasses.replace(report, win_rate=math.nan)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            harness.write_report(report, played, str(tmp_path / "run"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_table_with_no_rows_writes_the_header_only_csv(self, tmp_path):
+        report, _ = harness.play_rounds(classical_cfg(rounds=1))
+        base = tmp_path / "run"
+        harness.write_report(report, RoundTable(np.empty(0, dtype=np.uint8), []), str(base))
+        assert (tmp_path / "run.csv").read_bytes() == f"{harness.ROUND_TABLE_HEADER}\n".encode()
+        assert harness.read_round_table(f"{base}.csv") == []
 
     def test_writing_and_reading_keep_bounded_buffers(self, tmp_path):
         def peak(rounds):
