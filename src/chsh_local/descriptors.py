@@ -15,10 +15,13 @@ G^dagger P G written in the targets' current generators:
 * CNOT(c, t): qx_c <- qx_c qx_t and qz_t <- qz_c qz_t; qz_c and qx_t are
   unchanged.
 
-Each component is a read-only *Pauli sum* {(x_bits, z_bits): coeff}, the
-sum of coeff X^x Z^z with qubit k at bit n-1-k (Gottesman, quant-ph/9807006).
-Every gate above is real orthogonal, so coefficients stay real; products
-follow X^x1 Z^z1 X^x2 Z^z2 = (-1)^popcount(z1 & x2) X^(x1^x2) Z^(z1^z2),
+Each component is a read-only *Pauli sum* {key: coeff}, the sum of coeff
+X^x Z^z with qubit k at bit n-1-k of the n-bit ints x and z (Gottesman,
+quant-ph/9807006).  A string's key is the one int ``x << n | z``, the
+binary (x | z) form of Aaronson & Gottesman (quant-ph/0406196).  Every gate
+above is real orthogonal, so coefficients stay real; products follow
+X^x1 Z^z1 X^x2 Z^z2 = (-1)^popcount(z1 & x2) X^(x1^x2) Z^(z1^z2), so a
+product's key is ``k1 ^ k2`` and its sign the parity of ``k1 & (k2 >> n)``,
 and only exact zeros are dropped.  A sum of more than :data:`MAX_TERMS`
 strings raises, as does a network of more than :data:`MAX_NETWORK_QUBITS`
 qubits.  :func:`apply_circuit` is the engine's one gate loop: it copies the
@@ -31,10 +34,11 @@ data and :func:`locality_audit` demands exact equality, not a tolerance.
 Outcome statistics are *branch measures*: the squared-amplitude weight of a
 history, the expectation of a projector in the reference state.  As
 <0...0| X^x Z^z |0...0> = [x = 0], a measure reads the coefficients of the
-strings with no X bit.  A joint record's measure folds its outcome
-projectors into one sum; :func:`record_measures` folds all 2**k records on
-k qubits depth first, so records sharing a prefix share its fold steps, and
-:func:`joint_measure` reads one record's entry from it.  The state-vector
+strings with no X bit, the keys with ``k >> n == 0``.  A joint record's
+measure folds its outcome projectors into one sum; :func:`record_measures`
+folds all 2**k records on k qubits depth first, so records sharing a prefix
+share its fold steps, and :func:`joint_measure` reads one record's entry
+from it.  The state-vector
 oracle in :mod:`chsh_local.statevector` is a second, independent route to
 every such number (the two share gate-matrix constants, no application
 code), and :mod:`chsh_local.verify` runs the audits.  A network holds only
@@ -69,24 +73,26 @@ ZERO_MEASURE = 1e-12
 
 #: Most Pauli strings one sum may hold.  A CNOT or joint-measure step
 #: multiplies two sums term by term, so two capped sums form at most
-#: 512**2 = 262144 strings before the check: about 0.4 s and 50 MiB.  512
-#: holds every sum on four qubits (4**4 strings); wider registers fit while
-#: their sums stay this short, as Clifford circuits' do (one string each).
+#: 512**2 = 262144 strings before the check: about 0.17 s and 24 MiB
+#: (tracemalloc) for two random sums on 10 qubits.  512 holds every sum on
+#: four qubits (4**4 strings); wider registers fit while their sums stay
+#: this short, as Clifford circuits' do (one string each).
 MAX_TERMS = 512
 
-#: Most qubits :func:`init_network` builds.  Qubit k's one-term sums are
-#: keyed by (n - k)-bit ints, so a fresh network holds about n**2 / 8 bytes
-#: of key digits besides its per-qubit dicts: memory grows as n**2, measured
-#: (getrusage, fresh process) at 20 MiB for n = 10**4, 67 MiB for 2 * 10**4
-#: and 237 MiB for 4 * 10**4.  10**4 keeps a fresh network near 20 MiB and
-#: 0.1 s.
+#: Most qubits :func:`init_network` builds.  Qubit k's keys X_k and Z_k are
+#: ints of 2n - k and n - k bits, so a fresh network holds about n**2 / 4
+#: bytes of key digits besides its per-qubit dicts: memory grows as n**2,
+#: measured (getrusage, fresh process) at +2.1 MiB for n = 2500, +8.0 MiB for
+#: 5000 and +30.4 MiB for 10**4.  10**4 keeps a fresh network near 30 MiB and
+#: 0.06 s.
 MAX_NETWORK_QUBITS = 10_000
 
-_SINGLE_QUBIT_GATES = ("X", "Y", "Z", "H", "ROTY")
-GATE_NAMES = _SINGLE_QUBIT_GATES + ("CNOT",)
+#: Each gate's number of targets.
+_ARITY = {"X": 1, "Y": 1, "Z": 1, "H": 1, "ROTY": 1, "CNOT": 2}
+GATE_NAMES = tuple(_ARITY)
 
-#: A descriptor component: read-only {(x_bits, z_bits): coeff}.
-PauliSum = Mapping[tuple[int, int], float]
+#: A descriptor component: read-only {x << n | z: coeff} on n qubits.
+PauliSum = Mapping[int, float]
 
 
 def as_index(value, name: str) -> int:
@@ -114,37 +120,48 @@ def check_angle(value, name: str) -> None:
         raise ValueError(f"{name} needs a finite real angle, got {value!r}")
 
 
-@dataclass(frozen=True)
-class GateSpec:
-    """One gate of a circuit: a name, target qubits, and an optional angle.
-
-    CNOT targets are ordered (control, target).  The only parametrized gate
-    is ROTY, carrying the rotation angle in radians.
-    """
-
+class _Gate(NamedTuple):
     name: str
     targets: tuple[int, ...]
     theta: float | None = None
 
-    def __post_init__(self):
-        targets = tuple([as_index(t, "target") for t in as_items(self.targets, "targets")])
-        object.__setattr__(self, "targets", targets)
-        if self.name not in GATE_NAMES:
-            raise ValueError(f"unknown gate {self.name!r}")
-        arity = 2 if self.name == "CNOT" else 1
+
+class GateSpec(_Gate):
+    """One gate of a circuit: a name, target qubits, and an optional angle.
+
+    CNOT targets are ordered (control, target).  The only parametrized gate
+    is ROTY, carrying the rotation angle in radians.  Construction checks
+    every field, and targets come back as a tuple of plain ints.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, targets, theta: float | None = None):
+        if type(targets) is not tuple or not all(type(t) is int for t in targets):
+            targets = tuple([as_index(t, "target") for t in as_items(targets, "targets")])
+        # A name that is not a str (even an unhashable one) is unknown too.
+        arity = _ARITY.get(name) if isinstance(name, str) else None
+        if arity is None:
+            raise ValueError(f"unknown gate {name!r}")
         if len(targets) != arity:
-            raise ValueError(f"{self.name} takes {arity} target(s), got {targets}")
-        if len(set(targets)) != arity:
+            raise ValueError(f"{name} takes {arity} target(s), got {targets}")
+        if arity == 2 and targets[0] == targets[1]:
             raise ValueError(f"targets must be distinct, got {targets}")
         if min(targets) < 0:
             raise ValueError(f"targets must be >= 0, got {targets}")
-        if self.name == "ROTY":
-            check_angle(self.theta, "ROTY")
-        elif self.theta is not None:
-            raise ValueError(f"{self.name} takes no angle")
+        if name == "ROTY":
+            check_angle(theta, "ROTY")
+        elif theta is not None:
+            raise ValueError(f"{name} takes no angle")
+        return tuple.__new__(cls, (name, targets, theta))
+
+    @classmethod
+    def _make(cls, iterable) -> "GateSpec":
+        # The tuple's _make, which _replace calls, would skip the checks.
+        return cls(*iterable)
 
     def validate_for(self, n: int) -> None:
-        if any(t >= n for t in self.targets):
+        if max(self.targets) >= n:
             raise ValueError(f"gate {self.name} targets {self.targets} out of range for n={n}")
 
     @classmethod
@@ -218,8 +235,7 @@ class OutcomeSpec(NamedTuple):
         return reduce(lambda index, s: (index << 1) | s.outcome, specs, 0)
 
 
-@dataclass(frozen=True)
-class Descriptor:
+class Descriptor(NamedTuple):
     """Evolved Pauli generator pair of one qubit, each a Pauli sum."""
 
     qx: PauliSum
@@ -310,27 +326,32 @@ def to_dense(component: PauliSum, n: int) -> np.ndarray:
     dim = 2**n
     cols = np.arange(dim)
     m = np.zeros((dim, dim), dtype=complex)
-    for (x, z), c in component.items():
+    for key, c in component.items():
+        x, z = key >> n, key & (dim - 1)
         # X^x Z^z |j> = (-1)^popcount(j & z) |j ^ x>.
         m[cols ^ x, cols] += [-c if (j & z).bit_count() & 1 else c for j in range(dim)]
     return m
 
 
 def _pauli_sum(acc: dict) -> PauliSum:
-    """Freeze accumulated terms, dropping exact zeros; more than MAX_TERMS raise."""
-    terms = {key: coeff for key, coeff in acc.items() if coeff != 0.0}
-    if len(terms) > MAX_TERMS:
-        raise ValueError(f"a Pauli sum of {len(terms)} strings exceeds the term cap {MAX_TERMS}")
-    return MappingProxyType(terms)
+    """Freeze accumulated terms, dropping exact zeros; more than MAX_TERMS raise.
+
+    The accumulator itself is frozen unless it holds an exact zero.
+    """
+    if 0.0 in acc.values():
+        acc = {key: coeff for key, coeff in acc.items() if coeff != 0.0}
+    if len(acc) > MAX_TERMS:
+        raise ValueError(f"a Pauli sum of {len(acc)} strings exceeds the term cap {MAX_TERMS}")
+    return MappingProxyType(acc)
 
 
-def _product(a: PauliSum, b: PauliSum) -> PauliSum:
-    """The operator product a . b, by the product rule in the module docstring."""
+def _product(a: PauliSum, b: PauliSum, n: int) -> PauliSum:
+    """The operator product a . b on n qubits, by the product rule in the module docstring."""
     acc = {}
-    for (x1, z1), c1 in a.items():
-        for (x2, z2), c2 in b.items():
-            key = (x1 ^ x2, z1 ^ z2)
-            c = -c1 * c2 if (z1 & x2).bit_count() & 1 else c1 * c2
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = k1 ^ k2
+            c = -c1 * c2 if (k1 & (k2 >> n)).bit_count() & 1 else c1 * c2
             acc[key] = acc.get(key, 0.0) + c
     return _pauli_sum(acc)
 
@@ -344,9 +365,9 @@ def _combine(*scaled: tuple[float, PauliSum]) -> PauliSum:
     return _pauli_sum(acc)
 
 
-def _reference_expectation(s: PauliSum) -> float:
-    """<0...0| s |0...0>: the coefficients of the strings with no X bit."""
-    return float(sum(c for (x, _), c in s.items() if x == 0))
+def _reference_expectation(s: PauliSum, n: int) -> float:
+    """<0...0| s |0...0> on n qubits: the coefficients of the strings with no X bit."""
+    return float(sum(c for key, c in s.items() if key >> n == 0))
 
 
 def init_network(n: int) -> DescriptorNetwork:
@@ -361,13 +382,11 @@ def init_network(n: int) -> DescriptorNetwork:
         raise ValueError(
             f"qubit count {n} exceeds the network cap MAX_NETWORK_QUBITS = {MAX_NETWORK_QUBITS}"
         )
-    descriptors = tuple(
-        Descriptor(
-            qx=MappingProxyType({(1 << (n - 1 - k), 0): 1.0}),
-            qz=MappingProxyType({(0, 1 << (n - 1 - k)): 1.0}),
-        )
-        for k in range(n)
-    )
+    # Qubit k is bit j = n-1-k of z, so X_k is the key 1 << (n + j).
+    descriptors = tuple([
+        Descriptor(MappingProxyType({1 << (n + j): 1.0}), MappingProxyType({1 << j: 1.0}))
+        for j in reversed(range(n))
+    ])
     return DescriptorNetwork(descriptors=descriptors)
 
 
@@ -403,16 +422,17 @@ def apply_circuit(net: DescriptorNetwork, gates: Iterable[GateSpec]) -> Descript
     identity included.
     """
     updated = list(net.descriptors)
+    n = len(updated)
     for g in gates:
-        g.validate_for(len(updated))
+        g.validate_for(n)
         if g.name == "CNOT":
             c, t = g.targets
-            dc, dt = updated[c], updated[t]
-            updated[c] = Descriptor(qx=_product(dc.qx, dt.qx), qz=dc.qz)
-            updated[t] = Descriptor(qx=dt.qx, qz=_product(dc.qz, dt.qz))
+            (cx, cz), (tx, tz) = updated[c], updated[t]
+            updated[c] = Descriptor(_product(cx, tx, n), cz)
+            updated[t] = Descriptor(tx, _product(cz, tz, n))
         else:
             (k,) = g.targets
-            updated[k] = Descriptor(*_single_qubit_update(g, updated[k].qx, updated[k].qz))
+            updated[k] = Descriptor(*_single_qubit_update(g, *updated[k]))
     return DescriptorNetwork(descriptors=tuple(updated))
 
 
@@ -424,25 +444,27 @@ def branch_measure(net: DescriptorNetwork, o) -> float:
     """
     o = OutcomeSpec.checked(o, net.n)
     sign = 1.0 if o.outcome == 0 else -1.0
-    return (1.0 + sign * _reference_expectation(net.descriptors[o.qubit].qz)) / 2.0
+    return (1.0 + sign * _reference_expectation(net.descriptors[o.qubit].qz, net.n)) / 2.0
 
 
-def _last_reads(m: PauliSum, qz: PauliSum) -> tuple[float, float]:
-    """<0...0| (M + sign M qz) / 2 |0...0> for outcomes 0 and 1.
+def _last_reads(m: PauliSum, qz: PauliSum, n: int) -> tuple[float, float]:
+    """<0...0| (M + sign M qz) / 2 |0...0> for outcomes 0 and 1, on n qubits.
 
     Forms only the x = 0 strings of M qz, the only ones read, once for both
     outcomes and in the order the full product would form them, so each
     read is bit-identical to the full fold's.  That product is not held to
     :data:`MAX_TERMS`.
     """
-    # X^x1 Z^z1 X^x2 Z^z2 has no X bit only when x1 == x2.
+    # X^x1 Z^z1 X^x2 Z^z2 has no X bit only when x1 == x2, and then its
+    # key k1 ^ k2 is z1 ^ z2 and its sign the parity of z1 & x1.
     product = {}
-    for (x1, z1), c1 in m.items():
-        for (x2, z2), c2 in qz.items():
-            if x1 == x2:
-                c = -c1 * c2 if (z1 & x2).bit_count() & 1 else c1 * c2
-                product[z1 ^ z2] = product.get(z1 ^ z2, 0.0) + c
-    base = {z: 0.5 * c for (x, z), c in m.items() if x == 0}
+    for k1, c1 in m.items():
+        x1 = k1 >> n
+        for k2, c2 in qz.items():
+            if k2 >> n == x1:
+                c = -c1 * c2 if (k1 & x1).bit_count() & 1 else c1 * c2
+                product[k1 ^ k2] = product.get(k1 ^ k2, 0.0) + c
+    base = {z: 0.5 * c for z, c in m.items() if z >> n == 0}
     reads = []
     for sign in (1.0, -1.0):
         read = dict(base)
@@ -475,16 +497,16 @@ def record_measures(net: DescriptorNetwork, qubits) -> tuple[float, ...]:
     """
     specs = OutcomeSpec.checked_record([(q, 0) for q in as_items(qubits, "qubits")], net.n)
     qzs = [net.descriptors[s.qubit].qz for s in specs]
-    return _fold_records({(0, 0): 1.0}, qzs) if qzs else (1.0,)
+    return _fold_records({0: 1.0}, qzs, net.n) if qzs else (1.0,)
 
 
-def _fold_records(m: PauliSum, qzs: list[PauliSum]) -> tuple[float, ...]:
-    """Reads of every continuation of the fold at M over the qzs, outcome 0 first."""
+def _fold_records(m: PauliSum, qzs: list[PauliSum], n: int) -> tuple[float, ...]:
+    """Reads of every continuation of the fold at M over the qzs on n qubits, outcome 0 first."""
     if len(qzs) == 1:
-        return _last_reads(m, qzs[0])
-    mq = _product(m, qzs[0])
+        return _last_reads(m, qzs[0], n)
+    mq = _product(m, qzs[0], n)
     zero, one = _combine((0.5, m), (0.5, mq)), _combine((0.5, m), (-0.5, mq))
-    return _fold_records(zero, qzs[1:]) + _fold_records(one, qzs[1:])
+    return _fold_records(zero, qzs[1:], n) + _fold_records(one, qzs[1:], n)
 
 
 def conditional_measure(net: DescriptorNetwork, given, then) -> float:

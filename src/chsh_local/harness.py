@@ -158,6 +158,8 @@ class TournamentConfig:
             raise ValueError(f"protocol must be a QuantumProtocol, got {self.protocol!r}")
         if self.mode == "quantum" and self.protocol is None:
             object.__setattr__(self, "protocol", game.default_protocol())
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValueError(f"output_path must be a string, got {self.output_path!r}")
 
 
 @dataclass(slots=True)
@@ -461,8 +463,9 @@ def write_report(report: TournamentReport, rounds: RoundTable, path: str) -> Non
     formatted once per row of the table and checked by :func:`_checked_row`,
     the reader's own check, and the summary is rendered as strict JSON,
     before either file is opened: a row :func:`read_round_table` would
-    reject, or a non-finite float in the summary, is a `ValueError` and
-    writes nothing.  A valid row text is always 23 bytes, so the CSV is
+    reject, a non-finite float in the summary, or `codes` that are not one
+    unsigned integer array indexing `rows`, is a `ValueError` and writes
+    nothing.  A valid row text is always 23 bytes, so the CSV is
     rendered `BLOCK_ROUNDS` rounds at a time as numpy byte blocks
     (:func:`_render_rows`) and no per-round Python object is built.
     """
@@ -475,6 +478,10 @@ def write_report(report: TournamentReport, rounds: RoundTable, path: str) -> Non
         _checked_row(f"0{text}", 0, f"{path}.csv rows[{c}]")
     text_table = np.array([np.frombuffer(text.encode(), np.uint8) for text in texts])
     codes = rounds.codes
+    if not isinstance(codes, np.ndarray) or codes.ndim != 1 or codes.dtype.kind != "u":
+        raise ValueError(f"{path}.csv codes must be one unsigned integer array, got {codes!r}")
+    if len(codes) and codes.max() >= len(texts):
+        raise ValueError(f"{path}.csv codes must index the {len(texts)} rows, got {codes.max()}")
     with open(f"{path}.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{summary}\n")
     with open(f"{path}.csv", "wb") as fh:

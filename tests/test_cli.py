@@ -189,12 +189,19 @@ class TestPlay:
             ({"distance": [1]}, "geometry must be"),
             ({"window": "5"}, "geometry must be"),
             ({"sampling": ["mc"]}, "sampling must be one of"),
+            ({"out": 5}, "output_path must be a string, got 5"),
+            ({"out": True}, "output_path must be a string, got True"),
+            ({"out": ["run"]}, "output_path must be a string, got ['run']"),
         ],
         ids=["strategy-int", "strategy-bit-2", "strategy-three-bits", "strategy-bools",
              "weights-int", "weights-object", "quantum-strategy-int", "quantum-weights-int",
-             "distance-list", "window-string", "sampling-list"],
+             "distance-list", "window-string", "sampling-list", "out-int", "out-bool",
+             "out-list"],
     )
-    def test_config_value_of_the_wrong_type_is_an_error(self, capsys, tmp_path, config, message):
+    def test_config_value_of_the_wrong_type_is_an_error(
+        self, capsys, monkeypatch, tmp_path, config, message
+    ):
+        monkeypatch.chdir(tmp_path)  # a wrongly accepted `out` writes here
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         code, _, err = run_cli(capsys, "play", "--config", str(path), "--rounds", "10")

@@ -76,6 +76,43 @@ class TestGateSpec:
         with pytest.raises(ValueError):
             GateSpec.cnot(0, 3).validate_for(3)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("SWAP", (0, 1)), "unknown gate 'SWAP'"),
+            ((["X"], (0,)), "unknown gate ['X']"),
+            (("X", (0, 1)), "X takes 1 target(s), got (0, 1)"),
+            (("CNOT", (0,)), "CNOT takes 2 target(s), got (0,)"),
+            (("CNOT", (1, 1)), "targets must be distinct, got (1, 1)"),
+            (("CNOT", (np.int64(1), 1)), "targets must be distinct, got (1, 1)"),
+            (("X", (-1,)), "targets must be >= 0, got (-1,)"),
+            (("CNOT", (0, -2)), "targets must be >= 0, got (0, -2)"),
+            (("X", (True,)), "target must be an int, got True"),
+            (("X", (1.5,)), "target must be an int, got 1.5"),
+            (("X", 0), "targets must be a sequence, got 0"),
+            (("SWAP", None), "targets must be a sequence, got None"),
+            (("ROTY", (0,), float("nan")), "ROTY needs a finite real angle, got nan"),
+            (("ROTY", (0,), float("inf")), "ROTY needs a finite real angle, got inf"),
+            (("ROTY", (0,), True), "ROTY needs a finite real angle, got True"),
+            (("ROTY", (0,)), "ROTY needs a finite real angle, got None"),
+            (("X", (0,), 0.3), "X takes no angle"),
+            (("CNOT", (0, 1), 0.0), "CNOT takes no angle"),
+        ],
+        ids=["unknown-name", "unhashable-name", "arity-1", "arity-2", "equal-targets",
+             "equal-numpy-target", "negative", "negative-target", "bool-target", "float-target",
+             "int-targets", "none-targets", "angle-nan", "angle-inf", "angle-bool", "angle-none",
+             "angle-on-x", "angle-on-cnot"],
+    )
+    def test_every_refusal_names_its_cause(self, args, message):
+        with pytest.raises(ValueError) as refused:
+            GateSpec(*args)
+        assert str(refused.value) == message
+
+    def test_replace_checks_like_construction(self):
+        with pytest.raises(ValueError, match=re.escape("targets must be distinct, got (0, 0)")):
+            GateSpec.cnot(0, 1)._replace(targets=(0, 0))
+        assert GateSpec.x(0)._replace(targets=[np.int64(2)]) == GateSpec.x(2)
+
 
 class TestEmbeddedGate:
     def test_cnot_matches_constant(self):
@@ -125,6 +162,14 @@ class TestEmbeddedGate:
 
 
 class TestInitNetwork:
+    @pytest.mark.parametrize("n", [1, 3, 70])
+    def test_key_layout(self, n):
+        # Qubit k is bit n-1-k of x and of z; a string's key is x << n | z.
+        net = descriptors.init_network(n)
+        for k, (qx, qz) in enumerate(net.descriptors):
+            assert dict(qx) == {(1 << (n - 1 - k)) << n: 1.0}
+            assert dict(qz) == {1 << (n - 1 - k): 1.0}
+
     def test_fresh_descriptors_are_embedded_paulis(self):
         net = descriptors.init_network(2)
         qx0 = descriptors.to_dense(net.descriptors[0].qx, 2)
@@ -160,7 +205,7 @@ class TestInitNetwork:
         [
             (lambda: descriptors.cumulative_unitary(0, []), "dense audit route .* got 0"),
             (lambda: descriptors.cumulative_unitary(-1, []), "dense audit route .* got -1"),
-            (lambda: descriptors.to_dense({(0, 0): 1.0}, 0), "dense audit route .* got 0"),
+            (lambda: descriptors.to_dense({0: 1.0}, 0), "dense audit route .* got 0"),
             (
                 lambda: descriptors.recomputed_components(2.0, [], 0),
                 "qubit count must be an int, got 2.0",
@@ -187,7 +232,7 @@ class TestInitNetwork:
     def test_descriptor_arrays_are_read_only(self):
         net = descriptors.init_network(1)
         with pytest.raises(TypeError):
-            net.descriptors[0].qx[(0, 0)] = 9.0
+            net.descriptors[0].qx[0] = 9.0
 
     @pytest.mark.parametrize(
         "round_trip", [lambda net: pickle.loads(pickle.dumps(net)), copy.deepcopy]
@@ -201,7 +246,7 @@ class TestInitNetwork:
         for d in copied.descriptors:
             for component in (d.qx, d.qz):
                 with pytest.raises(TypeError):
-                    component[(0, 0)] = 9.0
+                    component[0] = 9.0
         assert descriptors.apply_gate(copied, GateSpec.h(2)) == descriptors.apply_gate(
             net, GateSpec.h(2)
         )
@@ -557,6 +602,9 @@ def test_non_iterable_targets_and_records_are_rejected_by_name(call, message):
 def test_numpy_integers_are_indices():
     assert descriptors.OutcomeSpec.checked((np.int64(1), np.uint8(0)), 2) == (1, 0)
     assert type(GateSpec("X", (np.int64(1),)).targets[0]) is int
+    cnot = GateSpec.cnot(np.int64(0), np.uint8(2))
+    assert cnot.targets == (0, 2)
+    assert [type(t) for t in cnot.targets] == [int, int]
 
 
 class TestConditionalMeasure:
@@ -653,15 +701,31 @@ def test_random_circuit_invariants(circuit):
     assert np.allclose(linalg.matmul(qz, qz), linalg.identity(2**n), atol=1e-10)
 
 
+def random_pauli_sum(rng, n):
+    """Up to 6 random strings on n qubits with random signed coefficients."""
+    keys = rng.integers(0, 4**n, int(rng.integers(1, 7))).tolist()
+    return {key: float(rng.normal()) for key in keys}
+
+
+def test_product_matches_the_dense_product():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        a, b = random_pauli_sum(rng, n), random_pauli_sum(rng, n)
+        dense = descriptors.to_dense(a, n) @ descriptors.to_dense(b, n)
+        product = descriptors.to_dense(descriptors._product(a, b, n), n)
+        assert np.allclose(product, dense, rtol=0.0, atol=1e-12)
+
+
 def full_fold_joint_measure(net, outcomes):
     """Reference: every fold step forms the whole product M qz."""
-    m = {(0, 0): 1.0}
+    m = {0: 1.0}
     for qubit, outcome in outcomes:
         sign = 1.0 if outcome == 0 else -1.0
         m = descriptors._combine(
-            (0.5, m), (0.5 * sign, descriptors._product(m, net.descriptors[qubit].qz))
+            (0.5, m), (0.5 * sign, descriptors._product(m, net.descriptors[qubit].qz, net.n))
         )
-    return descriptors._reference_expectation(m)
+    return descriptors._reference_expectation(m, net.n)
 
 
 def test_joint_measure_equals_the_full_fold_bit_for_bit():

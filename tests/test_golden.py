@@ -1,17 +1,20 @@
-"""Golden byte-identity of seeded `play` reports.
+"""Golden byte-identity of seeded `play` reports and of the engine's measures.
 
 The digests below pin `BASE.json` and `BASE.csv` for a few (mode, sampling,
 seed, rounds) cases, some with a strategy or mixture flag.  Any change to
 the engine, the sampler or the report writer that moves a single byte of a
 seeded report fails here, so a refactor that claims to keep every number
-can prove it.
+can prove it.  The engine's own numbers are pinned bit for bit as well, by
+``float.hex``: every branch tree's parent and leaf measures, the redundancy
+visibilities, and a digest of ``record_measures`` on seeded random circuits.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from chsh_local import cli
+from chsh_local import cli, descriptors, game, verify
 
 GOLDEN = [
     (
@@ -88,3 +91,44 @@ def test_seeded_report_bytes_are_pinned(
     assert code == 0
     assert _sha256(tmp_path / "BASE.json") == json_digest
     assert _sha256(tmp_path / "BASE.csv") == csv_digest
+
+
+# Leaf measures of the canonical protocol's branch trees, (alice, bob)
+# outcomes in order 00, 01, 10, 11; every parent measure is exactly 1/2.
+_HI, _LO, _LO_ULP = "0x1.b504f333f9de6p-2", "0x1.2bec333018866p-4", "0x1.2bec333018868p-4"
+LEAF_MEASURES = {
+    (0, 0): (_HI, _LO, _LO, _HI),
+    (0, 1): (_HI, _LO, _LO, _HI),
+    (1, 0): (_HI, _LO_ULP, _LO_ULP, _HI),
+    (1, 1): (_LO_ULP, _HI, _HI, _LO_ULP),
+}
+
+
+@pytest.mark.parametrize("perspective", ["alice", "bob"])
+@pytest.mark.parametrize("q", game.QUESTION_PAIRS, ids=lambda q: f"q{q.qa}{q.qb}")
+def test_branch_and_leaf_measures_are_pinned_bit_for_bit(q, perspective):
+    tree = game.branch_tree(game.default_protocol(), q, perspective)
+    assert [node.measure.hex() for node in tree.branches] == ["0x1.0000000000000p-1"] * 2
+    assert tuple(leaf.measure.hex() for leaf in tree.leaves()) == LEAF_MEASURES[tuple(q)]
+
+
+def test_redundancy_visibilities_are_pinned_bit_for_bit():
+    visibilities = [game.redundancy_demo(m).hex() for m in range(11)]
+    assert visibilities == ["0x1.0000000000000p+0"] + ["0x0.0p+0"] * 10
+
+
+def test_record_measures_of_seeded_circuits_are_pinned_bit_for_bit():
+    # Both qubit orders of every register, on 200 circuits of 1-4 qubits and
+    # 1-20 gates; one text line of float.hex values per record_measures call.
+    rng = np.random.default_rng(2026)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        gates = verify.random_circuit(rng, n, int(rng.integers(1, 21)))
+        net = descriptors.apply_circuit(descriptors.init_network(n), gates)
+        for order in (list(range(n)), list(range(n))[::-1]):
+            measures = descriptors.record_measures(net, order)
+            digest.update(" ".join(m.hex() for m in measures).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "0a555ed295fbea63dfe1b8e7d3aff8dfeddcf7abb4448bcd68e25bada9ee7007"
+    )

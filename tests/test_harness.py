@@ -842,6 +842,24 @@ class TestBlockReader:
             harness.write_report(report, played, str(tmp_path / "run"))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "codes, message",
+        [
+            (np.array([0, 5], np.uint8), "codes must index the 1 rows, got 5"),
+            (np.array([0, -1]), "codes must be one unsigned integer array, got array([ 0, -1])"),
+        ],
+        ids=["past-the-rows", "signed"],
+    )
+    def test_codes_that_do_not_index_the_rows_are_refused_before_either_file_opens(
+        self, tmp_path, codes, message
+    ):
+        report, _ = harness.play_rounds(classical_cfg(rounds=1))
+        base = tmp_path / "run"
+        with pytest.raises(ValueError, match=re.escape(f"{base}.csv {message}")):
+            harness.write_report(report, RoundTable(codes, [(0, 0, 0, 0, True, 1.0)]), str(base))
+        assert not (tmp_path / "run.json").exists()
+        assert not (tmp_path / "run.csv").exists()
+
     def test_a_table_with_no_rows_writes_the_header_only_csv(self, tmp_path):
         report, _ = harness.play_rounds(classical_cfg(rounds=1))
         base = tmp_path / "run"
