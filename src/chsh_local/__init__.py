@@ -11,8 +11,8 @@ The package splits into five layers:
   oracle used to cross-check every measure the engine produces.
 * :mod:`chsh_local.game` — the CHSH game itself: exact classical analysis,
   the quantum protocol, branch trees, and the redundancy demo.
-* :mod:`chsh_local.harness` — seeded tournaments, the geometry audit, and
-  report files; :mod:`chsh_local.cli` exposes it all as a command line.
+* :mod:`chsh_local.harness` — seeded tournaments, the station geometry,
+  and report files; :mod:`chsh_local.cli` exposes it all as a command line.
 """
 
 from .descriptors import (
@@ -58,7 +58,6 @@ from .harness import (
     TournamentReport,
     play_rounds,
     read_round_table,
-    run_tournament,
     write_report,
 )
 from .statevector import (
@@ -117,7 +116,6 @@ __all__ = [
     "record_probabilities",
     "redundancy_demo",
     "run_circuit",
-    "run_tournament",
     "strategy_win_rate",
     "win_predicate",
     "write_report",

@@ -106,31 +106,27 @@ def _cmd_play(args: argparse.Namespace) -> int:
         strategy=strategy,
         weights=weights,
         geometry=Geometry(opts["distance"], opts["window"]),
-        output_path=opts["out"],
     )
-    report = harness.run_tournament(cfg)
+    report, rounds = harness.play_rounds(cfg)
+    if opts["out"] is not None:
+        harness.write_report(report, rounds, opts["out"])
     if cfg.mode == "quantum" and not report.isolation:
         print(
             "warning: stations are not isolated; the win rate cannot be read "
             "as a violation under isolation",
             file=sys.stderr,
         )
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(report.to_json())
     return 0
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    isolated, report = harness.audit_geometry(
-        Geometry(
-            distance_light_minutes=args.distance,
-            answer_window_minutes=args.window,
-        )
-    )
-    print(f"distance: {report['distance_light_minutes']} light-minutes")
-    print(f"answer window: {report['answer_window_minutes']} minutes")
-    print(f"margin: {report['margin_light_minutes']} light-minutes")
-    print(f"isolated: {'yes' if isolated else 'no'}")
-    return 0 if isolated else 1
+    geometry = Geometry(args.distance, args.window)
+    print(f"distance: {geometry.distance_light_minutes} light-minutes")
+    print(f"answer window: {geometry.answer_window_minutes} minutes")
+    print(f"margin: {geometry.margin_light_minutes} light-minutes")
+    print(f"isolated: {'yes' if geometry.isolated else 'no'}")
+    return 0 if geometry.isolated else 1
 
 
 def _cmd_branch(args: argparse.Namespace) -> int:

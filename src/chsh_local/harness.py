@@ -1,4 +1,4 @@
-"""Tournament harness: seeded round sampling, geometry audit, and reports.
+"""Tournament harness: seeded round sampling, station geometry, and reports.
 
 Rounds draw their randomness from per-round counter-based streams keyed by
 (seed, round_id), so results are reproducible bit for bit regardless of
@@ -23,9 +23,9 @@ back takes one pass: each block is split at its newlines, its round ids are
 checked against the same digit matrix, and equal row texts are grouped by
 sorting them on exact 8-byte keys, so each distinct text is checked once.
 
-The geometry audit is bookkeeping, not transport simulation: it checks that
-the stations' answer window closes before light could carry a message
-between them, which is the whole point of the layout.
+`Geometry.isolated` is bookkeeping, not transport simulation: it says
+whether the stations' answer window closes before light could carry a
+message between them, which is the whole point of the layout.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import re
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
@@ -61,6 +62,13 @@ SAMPLING = ("exact_measure", "monte_carlo")
 ROUND_TABLE_HEADER = "round_id,qa,qb,aa,ab,win,leaf_measure"
 
 _MAX_SEED = 2**64
+
+#: Most rounds one tournament plays.  `play_rounds` runs at 2.3-3.7 M
+#: rounds/s in every mode and sampling at 4 M rounds (2-vCPU Xeon, numpy
+#: 2.4), and `monte_carlo` keeps 1 byte per round, so the cap is 5-8
+#: minutes and 1 GiB of codes.  `exact_measure` keeps no rounds, so
+#: without the cap nothing would bound its run time.
+MAX_ROUNDS = 2**30
 
 #: Rounds drawn and tallied together.  The Philox pass keeps about twenty
 #: uint64 columns of this length alive, so 4096 rounds hold its temporaries
@@ -93,6 +101,20 @@ class Geometry:
                 f"window {window!r}"
             )
 
+    @property
+    def margin_light_minutes(self) -> float:
+        """Spare light-minutes between the deadline and the earliest arrival."""
+        return self.distance_light_minutes - self.answer_window_minutes
+
+    @property
+    def isolated(self) -> bool:
+        """Whether the answer window closes before light can cross the gap.
+
+        The inequality is strict: a signal arriving exactly at the deadline
+        is not isolation.
+        """
+        return self.answer_window_minutes < self.distance_light_minutes
+
 
 def _is_weight(w) -> bool:
     """True for an int, Fraction, finite float or fraction string."""
@@ -123,13 +145,12 @@ class TournamentConfig:
     weights: tuple | None = None
     protocol: QuantumProtocol | None = None
     geometry: Geometry = Geometry()
-    output_path: str | None = None
 
     def __post_init__(self):
         for name in ("rounds", "seed"):
             object.__setattr__(self, name, as_index(getattr(self, name), name))
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if not 1 <= self.rounds <= MAX_ROUNDS:
+            raise ValueError(f"rounds must be in [1, MAX_ROUNDS = {MAX_ROUNDS}], got {self.rounds}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.sampling not in SAMPLING:
@@ -158,8 +179,6 @@ class TournamentConfig:
             raise ValueError(f"protocol must be a QuantumProtocol, got {self.protocol!r}")
         if self.mode == "quantum" and self.protocol is None:
             object.__setattr__(self, "protocol", game.default_protocol())
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ValueError(f"output_path must be a string, got {self.output_path!r}")
 
 
 @dataclass(slots=True)
@@ -256,6 +275,12 @@ class TournamentReport:
             key: round(value, 9) if isinstance(value, float) else value for key, value in items
         })
 
+    def to_json(self) -> str:
+        """:meth:`to_dict` as strict JSON (no NaN or Infinity), keys sorted,
+        indented by 2: the summary `chsh-local play` prints and
+        :func:`write_report` writes."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit products `a * b`, from 32-bit halves."""
@@ -325,7 +350,6 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, RoundTable]:
     probabilities and its wins are rate x count, rounded.
     """
     analytic = cfg.sampling == "exact_measure"
-    isolated, _ = audit_geometry(cfg.geometry)
     table = _outcome_table(cfg)
     width = len(table[0])
     edges = np.cumsum([[float(p) for p, *_ in outcomes] for outcomes in table], axis=1)
@@ -373,34 +397,9 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, RoundTable]:
         mode=cfg.mode,
         sampling=cfg.sampling,
         analytic=analytic,
-        isolation=isolated,
+        isolation=cfg.geometry.isolated,
     )
     return report, RoundTable(played, rows)
-
-
-def run_tournament(cfg: TournamentConfig) -> TournamentReport:
-    """Play a tournament; write report files when the config names a path."""
-    report, rounds = play_rounds(cfg)
-    if cfg.output_path is not None:
-        write_report(report, rounds, cfg.output_path)
-    return report
-
-
-def audit_geometry(geometry: Geometry) -> tuple[bool, dict]:
-    """Check that the answer window closes before light can cross the gap.
-
-    Passing requires a strict inequality: a signal arriving exactly at the
-    deadline is not isolation.  The report carries the margin, the spare
-    light-minutes between deadline and earliest possible arrival.
-    """
-    isolated = geometry.answer_window_minutes < geometry.distance_light_minutes
-    report = {
-        "distance_light_minutes": geometry.distance_light_minutes,
-        "answer_window_minutes": geometry.answer_window_minutes,
-        "margin_light_minutes": geometry.distance_light_minutes - geometry.answer_window_minutes,
-        "isolated": isolated,
-    }
-    return isolated, report
 
 
 #: `_BYTE_MASKS[n]` keeps the first n bytes of a little-endian uint64 word.
@@ -468,8 +467,12 @@ def write_report(report: TournamentReport, rounds: RoundTable, path: str) -> Non
     nothing.  A valid row text is always 23 bytes, so the CSV is
     rendered `BLOCK_ROUNDS` rounds at a time as numpy byte blocks
     (:func:`_render_rows`) and no per-round Python object is built.
+    A `path` that is not a string or whose last component is empty (`""`,
+    `"runs/"`) names no file and is a `ValueError` too.
     """
-    summary = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+    if not isinstance(path, str) or not os.path.basename(path):
+        raise ValueError(f"report path must name a file, got {path!r}")
+    summary = report.to_json()
     texts = [
         f",{qa},{qb},{aa},{ab},{int(win)},{measure:.9f}\n"
         for qa, qb, aa, ab, win, measure in rounds.rows

@@ -85,7 +85,7 @@ def test_criterion_03_quantum_value_dual_route():
 def test_criterion_04_tournament_headline_scaled():
     t0 = time.perf_counter()
     cfg = harness.TournamentConfig(rounds=400_000, mode="quantum", seed=42)
-    report = harness.run_tournament(cfg)
+    report, _ = harness.play_rounds(cfg)
     elapsed = time.perf_counter() - t0
     expected = 341_421
     band = 3.0 * 224.0

@@ -16,23 +16,23 @@ def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
-#: Per `play` option: a config value, a flag value, the config field the
-#: option resolves to, and that field's value with neither, from the config
+#: Per `play` option: a config value, a flag value, what the option resolves
+#: to in a run (read from the config played and the report path written, None
+#: when no report is written), and that value with neither, from the config
 #: alone, and with the flag as well.
 PLAY_OPTIONS = {
-    "rounds": (50, "20", lambda c: c.rounds, (1000, 50, 20)),
-    "mode": ("classical", "mixed", lambda c: c.mode, ("quantum", "classical", "mixed")),
-    "seed": (9, "3", lambda c: c.seed, (0, 9, 3)),
-    "sampling": ("exact", "mc", lambda c: c.sampling,
+    "rounds": (50, "20", lambda c, out: c.rounds, (1000, 50, 20)),
+    "mode": ("classical", "mixed", lambda c, out: c.mode, ("quantum", "classical", "mixed")),
+    "seed": (9, "3", lambda c, out: c.seed, (0, 9, 3)),
+    "sampling": ("exact", "mc", lambda c, out: c.sampling,
                  ("monte_carlo", "exact_measure", "monte_carlo")),
-    "out": ("from-config", "from-flag", lambda c: c.output_path,
-            (None, "from-config", "from-flag")),
-    "strategy": ([0, 1, 1, 0], "1001", lambda c: c.strategy,
+    "out": ("from-config", "from-flag", lambda c, out: out, (None, "from-config", "from-flag")),
+    "strategy": ([0, 1, 1, 0], "1001", lambda c, out: c.strategy,
                  (None, DeterministicStrategy(0, 1, 1, 0), DeterministicStrategy(1, 0, 0, 1))),
-    "weights": ([1] + [0] * 15, ",".join(["0"] * 15 + ["1"]), lambda c: c.weights,
+    "weights": ([1] + [0] * 15, ",".join(["0"] * 15 + ["1"]), lambda c, out: c.weights,
                 (None, (1,) + (0,) * 15, (0,) * 15 + (Fraction(1),))),
-    "distance": (40, "50", lambda c: c.geometry.distance_light_minutes, (30.0, 40, 50.0)),
-    "window": (2, "3", lambda c: c.geometry.answer_window_minutes, (5.0, 2, 3.0)),
+    "distance": (40, "50", lambda c, out: c.geometry.distance_light_minutes, (30.0, 40, 50.0)),
+    "window": (2, "3", lambda c, out: c.geometry.answer_window_minutes, (5.0, 2, 3.0)),
 }
 
 
@@ -131,13 +131,21 @@ class TestPlay:
         assert (tmp_path / "out.json").exists()
         assert (tmp_path / "out.csv").exists()
 
-    def test_a_round_count_too_large_to_hold_is_an_error(self, capsys):
-        # 2**62 one-byte codes exceed any 64-bit address space, so the
-        # allocation is refused at once and nothing is allocated.
+    def test_a_round_count_too_large_to_hold_is_an_error(self, capsys, monkeypatch):
+        # 2**62 rounds are over MAX_ROUNDS and refused before any allocation;
+        # a count under the cap that this machine cannot hold fails in the
+        # allocation instead, and that is an input error too.
         code, out, err = run_cli(capsys, "play", "--mode", "classical", "--rounds", str(2**62))
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+        def no_memory(cfg):
+            raise MemoryError("Unable to allocate 1.00 GiB")
+
+        monkeypatch.setattr(harness, "play_rounds", no_memory)
+        code, out, err = run_cli(capsys, "play", "--rounds", str(harness.MAX_ROUNDS))
+        assert (code, out, err) == (1, "", "error: Unable to allocate 1.00 GiB\n")
 
     def test_quantum_exact_rates(self, capsys):
         code, out, _ = run_cli(
@@ -189,9 +197,9 @@ class TestPlay:
             ({"distance": [1]}, "geometry must be"),
             ({"window": "5"}, "geometry must be"),
             ({"sampling": ["mc"]}, "sampling must be one of"),
-            ({"out": 5}, "output_path must be a string, got 5"),
-            ({"out": True}, "output_path must be a string, got True"),
-            ({"out": ["run"]}, "output_path must be a string, got ['run']"),
+            ({"out": 5}, "report path must name a file, got 5"),
+            ({"out": True}, "report path must name a file, got True"),
+            ({"out": ["run"]}, "report path must name a file, got ['run']"),
         ],
         ids=["strategy-int", "strategy-bit-2", "strategy-three-bits", "strategy-bools",
              "weights-int", "weights-object", "quantum-strategy-int", "quantum-weights-int",
@@ -208,6 +216,39 @@ class TestPlay:
         assert code == 1
         assert err.startswith("error:")
         assert message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("out", ["", "runs/"])
+    def test_a_report_path_naming_no_file_is_an_error(self, capsys, monkeypatch, tmp_path, out):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run_cli(capsys, "play", "--rounds", "10", "--out", out)
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: report path must name a file, got {out!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_round_count_over_the_cap_fails_before_any_round_is_drawn(
+        self, capsys, monkeypatch
+    ):
+        def no_draws(*_):
+            raise AssertionError("rounds were drawn")
+
+        monkeypatch.setattr(harness, "_round_uniforms", no_draws)
+        code, out, err = run_cli(capsys, "play", "--mode", "classical", "--sampling", "exact",
+                                 "--rounds", str(2**62))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: rounds must be in [1, MAX_ROUNDS = {harness.MAX_ROUNDS}], got {2**62}\n"
+        )
+
+    def test_config_holding_a_json_array_is_an_error(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps([{"rounds": 50}]))
+        code, out, err = run_cli(capsys, "play", "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: config {config} must hold a JSON object\n"
 
     @pytest.mark.parametrize("flags", [("--distance", "-1"), ("--distance", "nan"),
                                        ("--window", "inf"), ("--window", "0")])
@@ -275,18 +316,23 @@ class TestPlay:
         self, capsys, tmp_path, monkeypatch, key
     ):
         config_value, flag, field, expected = PLAY_OPTIONS[key]
-        played = []
+        runs = []
+        play_rounds = harness.play_rounds
 
         def play(cfg):
-            played.append(cfg)
-            return harness.play_rounds(cfg)[0]
+            runs.append([cfg, None])
+            return play_rounds(cfg)
 
-        monkeypatch.setattr(harness, "run_tournament", play)
+        def write(report, rounds, path):
+            runs[-1][1] = path
+
+        monkeypatch.setattr(harness, "play_rounds", play)
+        monkeypatch.setattr(harness, "write_report", write)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: config_value}))
         for argv in ([], ["--config", str(path)], ["--config", str(path), f"--{key}", flag]):
             assert run_cli(capsys, "play", *argv)[0] == 0
-        assert tuple(map(field, played)) == expected
+        assert tuple(field(*run) for run in runs) == expected
 
 
 class TestVerify:
@@ -328,7 +374,7 @@ class TestInvariantViolation:
         def drift(cfg):
             raise RuntimeError("protocol drift: engine and oracle disagree")
 
-        monkeypatch.setattr(harness, "run_tournament", drift)
+        monkeypatch.setattr(harness, "play_rounds", drift)
         code, out, err = run_cli(capsys, "play", "--rounds", "10")
         assert code == 3
         assert out == ""

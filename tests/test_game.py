@@ -329,6 +329,37 @@ class TestBranchTree:
                 branches=(bad_node, good.branches[1]),
             )
 
+    @staticmethod
+    def hand_tree(root=1.0, measures=(0.5, 0.5), leaves=((0.25, 0.5), (0.25, 0.5))):
+        """A tree on question (0, 0) whose branch 0 leaves are `(measure,
+        conditional)` pairs; branch 1's leaves are half its measure each."""
+        first = game.BranchNode(0, measures[0], tuple(
+            game.BranchLeaf(0, b, conditional, measure, b == 0)
+            for b, (measure, conditional) in enumerate(leaves)
+        ))
+        second = game.BranchNode(1, measures[1], tuple(
+            game.BranchLeaf(1, b, 0.5, measures[1] / 2, b == 1) for b in (0, 1)
+        ))
+        return game.BranchTree(QuestionPair(0, 0), "alice", root, (first, second))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"root": 0.5}, "root measure must be 1, got 0.5"),
+            ({"measures": (0.5, 0.25)}, "first-level measures sum to 0.75, not the root"),
+            ({"leaves": ((0.25, 0.5), (0.125, 0.25))},
+             "leaves of branch 0 sum to 0.375, not the branch measure 0.5"),
+            ({"leaves": ((0.25, 0.75), (0.25, 0.25))},
+             "leaf (0, 0) measure disagrees with parent times conditional"),
+        ],
+        ids=["root", "branches", "leaves", "leaf-conditional"],
+    )
+    def test_each_conservation_refusal_names_what_broke(self, kwargs, message):
+        assert self.hand_tree().root_measure == 1.0
+        with pytest.raises(ValueError) as got:
+            self.hand_tree(**kwargs)
+        assert str(got.value) == message
+
 
 class TestRedundancyDemo:
     def test_no_witnesses_full_visibility(self):

@@ -1,4 +1,4 @@
-"""Tests for the tournament harness, geometry audit, and report files."""
+"""Tests for the tournament harness, station geometry, and report files."""
 
 import dataclasses
 import functools
@@ -64,6 +64,13 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 classical_cfg(seed=bad)
 
+    @pytest.mark.parametrize("sampling", harness.SAMPLING)
+    def test_rounds_are_capped_in_both_sampling_modes(self, sampling):
+        assert classical_cfg(rounds=harness.MAX_ROUNDS, sampling=sampling).rounds == 2**30
+        with pytest.raises(ValueError) as got:
+            classical_cfg(rounds=harness.MAX_ROUNDS + 1, sampling=sampling)
+        assert str(got.value) == f"rounds must be in [1, MAX_ROUNDS = {2**30}], got {2**30 + 1}"
+
     def test_classical_needs_strategy(self):
         with pytest.raises(ValueError):
             TournamentConfig(rounds=10, mode="classical")
@@ -115,24 +122,25 @@ class TestConfigValidation:
 
 class TestCausalityAudit:
     def test_default_geometry_isolates(self):
-        ok, report = harness.audit_geometry(Geometry())
-        assert ok
-        assert report["margin_light_minutes"] == pytest.approx(25.0)
+        geometry = Geometry()
+        assert geometry.isolated
+        assert geometry.margin_light_minutes == pytest.approx(25.0)
 
     def test_boundary_is_not_isolation(self):
-        ok, _ = harness.audit_geometry(Geometry(30.0, 30.0))
-        assert not ok
+        geometry = Geometry(30.0, 30.0)
+        assert not geometry.isolated
+        assert geometry.margin_light_minutes == 0.0
 
     def test_window_longer_than_distance(self):
-        ok, report = harness.audit_geometry(Geometry(4.0, 5.0))
-        assert not ok
-        assert report["margin_light_minutes"] == pytest.approx(-1.0)
+        geometry = Geometry(4.0, 5.0)
+        assert not geometry.isolated
+        assert geometry.margin_light_minutes == pytest.approx(-1.0)
 
     def test_nonpositive_geometry_rejected(self):
         with pytest.raises(ValueError):
-            harness.audit_geometry(Geometry(0.0, 5.0))
+            Geometry(0.0, 5.0)
         with pytest.raises(ValueError):
-            harness.audit_geometry(Geometry(30.0, -1.0))
+            Geometry(30.0, -1.0)
 
     @pytest.mark.parametrize(
         "distance, window",
@@ -146,7 +154,7 @@ class TestCausalityAudit:
 
 class TestClassicalTournament:
     def test_hundred_thousand_rounds_near_ceiling(self):
-        report = harness.run_tournament(classical_cfg(rounds=100_000, seed=7))
+        report, _ = harness.play_rounds(classical_cfg(rounds=100_000, seed=7))
         sigma = math.sqrt(0.75 * 0.25 / 100_000)
         assert abs(report.win_rate - 0.75) <= 3.0 * sigma
         assert report.total_rounds == 100_000
@@ -160,9 +168,7 @@ class TestClassicalTournament:
             assert r.leaf_measure == 1.0
 
     def test_exact_sampling_rates_are_indicator_values(self):
-        report = harness.run_tournament(
-            classical_cfg(rounds=1000, sampling="exact_measure")
-        )
+        report, _ = harness.play_rounds(classical_cfg(rounds=1000, sampling="exact_measure"))
         assert report.analytic
         assert {k: stats.rate for k, stats in report.per_pair.items()} == {
             "00": 1.0,
@@ -178,7 +184,7 @@ class TestClassicalTournament:
 class TestMixedTournament:
     def test_uniform_mixture_converges_to_half(self):
         cfg = TournamentConfig(rounds=40_000, mode="mixed", seed=11, weights=UNIFORM)
-        report = harness.run_tournament(cfg)
+        report, _ = harness.play_rounds(cfg)
         sigma = math.sqrt(0.5 * 0.5 / 40_000)
         assert abs(report.win_rate - 0.5) <= 3.0 * sigma
 
@@ -186,7 +192,7 @@ class TestMixedTournament:
         cfg = TournamentConfig(
             rounds=100, mode="mixed", seed=1, weights=UNIFORM, sampling="exact_measure"
         )
-        report = harness.run_tournament(cfg)
+        report, _ = harness.play_rounds(cfg)
         for stats in report.per_pair.values():
             assert stats.rate == pytest.approx(0.5)
 
@@ -225,7 +231,7 @@ class TestQuantumTournament:
 
     def test_monte_carlo_converges_to_exact(self):
         cfg = TournamentConfig(rounds=50_000, mode="quantum", seed=13)
-        report = harness.run_tournament(cfg)
+        report, _ = harness.play_rounds(cfg)
         p = game.QUANTUM_WIN_RATE
         sigma = math.sqrt(p * (1.0 - p) / 50_000)
         assert abs(report.win_rate - p) <= 3.0 * sigma
@@ -248,9 +254,9 @@ class TestQuantumTournament:
         cfg = TournamentConfig(
             rounds=10, mode="quantum", seed=1, geometry=Geometry(4.0, 5.0)
         )
-        report = harness.run_tournament(cfg)
+        report, _ = harness.play_rounds(cfg)
         assert not report.isolation
-        assert harness.run_tournament(TournamentConfig(rounds=10, mode="quantum", seed=1)).isolation
+        assert harness.play_rounds(TournamentConfig(rounds=10, mode="quantum", seed=1))[0].isolation
 
 
 class TestDeterminism:
@@ -263,13 +269,8 @@ class TestDeterminism:
 
     def test_identical_config_gives_byte_identical_files(self, tmp_path):
         for name in ("a", "b"):
-            cfg = TournamentConfig(
-                rounds=2000,
-                mode="quantum",
-                seed=99,
-                output_path=str(tmp_path / name),
-            )
-            harness.run_tournament(cfg)
+            cfg = TournamentConfig(rounds=2000, mode="quantum", seed=99)
+            harness.write_report(*harness.play_rounds(cfg), str(tmp_path / name))
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -321,6 +322,7 @@ class TestRoundTable:
         assert empty == [] and [] == empty
         assert empty != table
         assert table != "abcd"
+        assert (table == 5) is False
 
     def test_records_share_at_most_sixteen_leaf_measure_objects(self, tmp_path):
         report, played = harness.play_rounds(
@@ -516,7 +518,7 @@ def test_a_fuzzed_table_reads_as_the_reference_reads_it(shape, edits, drop_final
 class TestReportFiles:
     def test_csv_format_is_fixed(self, tmp_path):
         base = tmp_path / "run"
-        harness.run_tournament(classical_cfg(rounds=3, output_path=str(base)))
+        harness.write_report(*harness.play_rounds(classical_cfg(rounds=3)), str(base))
         lines = (tmp_path / "run.csv").read_text().splitlines()
         assert lines[0] == "round_id,qa,qb,aa,ab,win,leaf_measure"
         assert len(lines) == 4
@@ -526,7 +528,7 @@ class TestReportFiles:
 
     def test_json_field_names_and_reference_values(self, tmp_path):
         base = tmp_path / "run"
-        harness.run_tournament(classical_cfg(rounds=3, output_path=str(base)))
+        harness.write_report(*harness.play_rounds(classical_cfg(rounds=3)), str(base))
         summary = json.loads((tmp_path / "run.json").read_text())
         assert summary["classical_ceiling"] == 0.75
         assert summary["quantum_value"] == 0.853553391
@@ -547,10 +549,8 @@ class TestReportFiles:
 
     def test_exact_mode_writes_header_only_table(self, tmp_path):
         base = tmp_path / "exact"
-        cfg = TournamentConfig(
-            rounds=50, mode="quantum", seed=4, sampling="exact_measure", output_path=str(base)
-        )
-        harness.run_tournament(cfg)
+        cfg = TournamentConfig(rounds=50, mode="quantum", seed=4, sampling="exact_measure")
+        harness.write_report(*harness.play_rounds(cfg), str(base))
         lines = (tmp_path / "exact.csv").read_text().splitlines()
         assert lines == ["round_id,qa,qb,aa,ab,win,leaf_measure"]
 
@@ -655,9 +655,9 @@ class TestReportFiles:
             harness.read_round_table(str(path))
 
     def test_unwritable_output_path_raises(self, tmp_path):
-        cfg = classical_cfg(rounds=2, output_path=str(tmp_path / "no" / "such" / "dir" / "x"))
+        played = harness.play_rounds(classical_cfg(rounds=2))
         with pytest.raises(OSError):
-            harness.run_tournament(cfg)
+            harness.write_report(*played, str(tmp_path / "no" / "such" / "dir" / "x"))
 
 
 #: Rounds 0-9 of a valid table.
@@ -832,6 +832,28 @@ class TestBlockReader:
             harness.write_report(report, RoundTable(codes, rows), str(base))
         assert not (tmp_path / "run.json").exists()
         assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("path", ["", "runs/", 5, None])
+    def test_a_path_naming_no_file_is_refused_before_either_file_opens(
+        self, tmp_path, monkeypatch, path
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "runs").mkdir()
+        played = harness.play_rounds(classical_cfg(rounds=10))
+        with pytest.raises(ValueError) as got:
+            harness.write_report(*played, path)
+        assert str(got.value) == f"report path must name a file, got {path!r}"
+        assert [p.name for p in tmp_path.iterdir()] == ["runs"]
+        assert list((tmp_path / "runs").iterdir()) == []
+
+    def test_the_summary_file_is_the_report_json_and_a_newline(self, tmp_path):
+        report, played = harness.play_rounds(TournamentConfig(rounds=10, mode="quantum", seed=3))
+        harness.write_report(report, played, str(tmp_path / "run"))
+        text = report.to_json()
+        assert (tmp_path / "run.json").read_text() == f"{text}\n"
+        assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dataclasses.replace(report, win_rate=math.inf).to_json()
 
     def test_a_summary_that_is_not_strict_json_is_refused_before_either_file_opens(
         self, tmp_path

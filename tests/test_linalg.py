@@ -131,6 +131,8 @@ def test_frobenius_distance():
     assert linalg.frobenius_distance(linalg.X, linalg.Z) == pytest.approx(
         np.sqrt(4.0), abs=1e-15
     )
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 4$"):
+        linalg.frobenius_distance(linalg.X, linalg.identity(4))
 
 
 def test_validators_reject_nonfinite_entries():

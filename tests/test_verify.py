@@ -3,9 +3,10 @@
 import dataclasses
 from types import MappingProxyType
 
+import numpy as np
 import pytest
 
-from chsh_local import descriptors, verify
+from chsh_local import descriptors, statevector, verify
 from chsh_local.linalg import DEFAULT_TOL, MAX_QUBITS
 
 
@@ -31,6 +32,27 @@ def test_equivalence_suite_catches_order_dependent_joint_measures(monkeypatch):
     assert result.max_deviation <= verify.EQUIVALENCE_TOL
     assert "reversed order changed circuit" in result.detail
     assert f"{result.failures} order failures" in result.detail
+
+
+def test_equivalence_suite_catches_an_oracle_disagreement(monkeypatch):
+    # Every oracle probability moved by 2e-9, past EQUIVALENCE_TOL: each
+    # comparison fails and the detail names the worst record.
+    exact = statevector.record_probabilities
+
+    def shifted(state, qubits):
+        return tuple(p + 2e-9 for p in exact(state, qubits))
+
+    monkeypatch.setattr(statevector, "record_probabilities", shifted)
+    result = verify.picture_equivalence_suite(n_circuits=20)
+    assert not result.passed
+    assert result.failures == result.checked
+    assert result.max_deviation > verify.EQUIVALENCE_TOL
+    assert "; worst at circuit " in result.detail
+
+
+def test_random_circuit_needs_an_allowed_qubit():
+    with pytest.raises(ValueError, match="^need at least one allowed qubit$"):
+        verify.random_circuit(np.random.default_rng(0), 3, 5, allowed=())
 
 
 def test_locality_suite_catches_a_dropped_circuit_gate(monkeypatch):
