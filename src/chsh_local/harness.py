@@ -63,17 +63,19 @@ ROUND_TABLE_HEADER = "round_id,qa,qb,aa,ab,win,leaf_measure"
 
 _MAX_SEED = 2**64
 
-#: Most rounds one tournament plays.  `play_rounds` runs at 2.3-3.7 M
+#: Most rounds one tournament plays.  `play_rounds` runs at 3.2-6.5 M
 #: rounds/s in every mode and sampling at 4 M rounds (2-vCPU Xeon, numpy
-#: 2.4), and `monte_carlo` keeps 1 byte per round, so the cap is 5-8
+#: 2.4), and `monte_carlo` keeps 1 byte per round, so the cap is 3-6
 #: minutes and 1 GiB of codes.  `exact_measure` keeps no rounds, so
 #: without the cap nothing would bound its run time.
 MAX_ROUNDS = 2**30
 
-#: Rounds drawn and tallied together.  The Philox pass keeps about twenty
-#: uint64 columns of this length alive, so 4096 rounds hold its temporaries
-#: near 0.6 MiB however long the run; larger blocks raised peak memory and
-#: were no faster.
+#: Rounds drawn and tallied together.  The Philox pass keeps seven uint64
+#: work columns of this length and the three float columns it returns:
+#: 4096 rounds peak at 321 KiB (10.0 columns) under tracemalloc however
+#: long the run.  Since the draws went in place, larger blocks run faster
+#: (400k quantum rounds: 8192 by 15-23 %, 16384 by 15-29 %) at two and
+#: four times that peak; the size has not been chosen again since.
 BLOCK_ROUNDS = 4096
 
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC11).
@@ -204,8 +206,9 @@ class RoundTable(Sequence):
     file :func:`write_report` writes and :func:`read_round_table` reads back;
     a table read from a file with more distinct rows gets a wider type.
     Records are built on indexing and iteration and share the rows' float
-    objects.  A table compares equal, element by element, to any sequence
-    of the same records, so `table == []` holds for an empty one.
+    objects; a slice is the list of those rounds' records, each keeping its
+    own round id.  A table compares equal, element by element, to any
+    sequence of the same records, so `table == []` holds for an empty one.
     """
 
     __slots__ = ("codes", "rows")
@@ -217,7 +220,10 @@ class RoundTable(Sequence):
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, index: int) -> RoundRecord:
+    def __getitem__(self, index: int | slice) -> RoundRecord | list[RoundRecord]:
+        if isinstance(index, slice):
+            rows, round_ids = self.rows, range(len(self.codes))[index]
+            return [RoundRecord(i, *rows[c]) for i, c in zip(round_ids, self.codes[index].tolist())]
         index, n = operator.index(index), len(self.codes)
         round_id = index + n if index < 0 else index
         if not 0 <= round_id < n:
@@ -282,13 +288,32 @@ class TournamentReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products `a * b`, from 32-bit halves."""
+def _mulhi(a: int, b: np.ndarray, hi: np.ndarray, s: np.ndarray, t: np.ndarray) -> None:
+    """Write the high words of the 128-bit products `a * b` into `hi`.
+
+    `b` is read only until `hi` is first written, so `hi` may be `b`; `s`
+    and `t` are scratch.  With `a = aH 2**32 + aL` and `b` split alike,
+    `t = (aL bL >> 32) + aH bL` cannot overflow, and `(aL bH + t) >> 32`
+    is taken as `(t >> 32) + ((aL bH + (t & LOW)) >> 32)`, whose second
+    sum cannot overflow either; it is formed by a wrapping add and a
+    subtraction.
+    """
     a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b_lo, b_hi = b & _LOW32, b >> 32
-    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
-    carry = ((lo_lo >> 32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)) >> 32
-    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + carry, np.uint64(a) * b
+    np.bitwise_and(b, _LOW32, out=s)
+    np.right_shift(b, 32, out=hi)
+    np.multiply(s, a_lo, out=t)
+    t >>= 32
+    s *= a_hi
+    t += s
+    np.multiply(hi, a_lo, out=s)
+    hi *= a_hi
+    s += t
+    t >>= 32
+    hi += t
+    t <<= 32
+    s -= t
+    s >>= 32
+    hi += s
 
 
 def _round_uniforms(seed: int, round_ids: np.ndarray) -> np.ndarray:
@@ -298,18 +323,46 @@ def _round_uniforms(seed: int, round_ids: np.ndarray) -> np.ndarray:
     numpy's first Philox4x64-10 block, counter (1, 0, 0, 0) under key
     (seed, round_id), whose first three words become doubles as
     `(word >> 11) * 2**-53`.
+
+    The counter is the same for every round, so round 0 is folded: it
+    leaves `(seed, 0, round_id, M0)`.  Round 1's product `M0 * seed` is one
+    Python int, and only the `M1 * round_id` half runs on arrays.  Rounds
+    2-9 update seven preallocated uint64 arrays in place (:func:`_mulhi`
+    for each high word, one wrapping multiply for each low word), and the
+    three words are shifted and cast straight into the returned float
+    array.
     """
-    key1 = np.asarray(round_ids, dtype=np.uint64)
-    zero = np.zeros_like(key1)
-    c0, c1, c2, c3 = zero + np.uint64(1), zero, zero, zero
-    for i in range(_PHILOX_ROUNDS):
-        k0 = np.uint64((seed + i * _PHILOX_W[0]) % 2**64)
-        k1 = key1 + np.uint64(i * _PHILOX_W[1] % 2**64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack((c0, c1, c2), axis=1)
-    return (words >> 11).astype(np.float64) * 2.0**-53
+    ids = np.asarray(round_ids, dtype=np.uint64)
+    m0, m1 = _PHILOX_M
+    c0, c1, c2, c3, *free = np.empty((7, len(ids)), dtype=np.uint64)
+    # Round 1 on counter (seed, 0, round_id, M0), keys (seed + W0, round_id + W1).
+    seed_hi, seed_lo = divmod(m0 * seed, 2**64)
+    np.multiply(ids, np.uint64(m1), out=c1)
+    _mulhi(m1, ids, c0, *free[:2])
+    c0 ^= np.uint64((seed + _PHILOX_W[0]) % 2**64)
+    np.add(ids, np.uint64(_PHILOX_W[1]), out=c2)
+    c2 ^= np.uint64(seed_hi ^ m0)
+    c3.fill(seed_lo)
+    for i in range(2, _PHILOX_ROUNDS):
+        # (c0, c1, c2, c3) -> (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0), where
+        # hi0:lo0 = M0 * c0 and hi1:lo1 = M1 * c2.
+        lo0, s, t = free
+        np.multiply(c0, np.uint64(m0), out=lo0)
+        _mulhi(m0, c0, c0, s, t)
+        c0 ^= c3
+        np.add(ids, np.uint64(i * _PHILOX_W[1] % 2**64), out=s)
+        c0 ^= s
+        lo1 = np.multiply(c2, np.uint64(m1), out=c3)
+        _mulhi(m1, c2, c2, s, t)
+        c2 ^= c1
+        c2 ^= np.uint64((seed + i * _PHILOX_W[0]) % 2**64)
+        c0, c1, c2, c3, free = c2, lo1, c0, lo0, [c1, s, t]
+    uniforms = np.empty((len(ids), 3))
+    for column, word in enumerate((c0, c1, c2)):
+        word >>= 11
+        uniforms[:, column] = word
+    uniforms *= 2.0**-53
+    return uniforms
 
 
 def _outcome_table(cfg: TournamentConfig) -> list[list[tuple]]:
@@ -338,16 +391,21 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, RoundTable]:
     """Run a tournament and return the report plus the per-round table.
 
     All rounds' draws are computed at once, `BLOCK_ROUNDS` round ids at a
-    time, bit-identical to numpy's per-round `Philox` streams, so reports
-    match a round-by-round loop byte for byte.  Both sampling modes read
-    :func:`_outcome_table`.  A round asked `pair = 2*qa + qb` takes the
-    outcome its third uniform falls in on the pair's cumulative
-    probabilities; its code `pair * width + outcome` (below 4 * 16) is
-    stored as one byte and indexes the table's record rows, so no
-    per-round object is built.  `exact_measure` keeps no rounds and returns
-    an empty table: it counts only the pairs asked (code `pair * width`,
-    with no outcome sampled), a pair's rate is the sum of its winning
-    probabilities and its wins are rate x count, rounded.
+    time, in place by :func:`_round_uniforms`, bit-identical to numpy's
+    per-round `Philox` streams, so reports match a round-by-round loop
+    byte for byte.  Both sampling modes read :func:`_outcome_table`.  A
+    round asked `pair = 2*qa + qb` takes the outcome its third uniform
+    falls in on the pair's cumulative probabilities, compared one edge
+    column at a time: a round adds 1 for each interior edge `<=` its
+    uniform, so a uniform on an edge takes the next outcome, as
+    `searchsorted(side="right")` does, and the last edge, 1.0, lies above
+    every uniform and is not compared.  The code `pair * width + outcome`
+    (below 4 * 16) is stored as one byte and indexes the table's record
+    rows, so no per-round object is built.  `exact_measure` keeps no
+    rounds and returns an empty table: it counts only the pairs asked
+    (code `pair * width`, with no outcome sampled), a pair's rate is the
+    sum of its winning probabilities and its wins are rate x count,
+    rounded.
     """
     analytic = cfg.sampling == "exact_measure"
     table = _outcome_table(cfg)
@@ -368,7 +426,9 @@ def play_rounds(cfg: TournamentConfig) -> tuple[TournamentReport, RoundTable]:
         pair = 2 * questions[:, 0] + questions[:, 1]
         codes = pair * width
         if not analytic:
-            codes += (edges[pair] <= u[:, 2, None]).sum(axis=1)
+            third = np.ascontiguousarray(u[:, 2])
+            for column in edges.T[:-1]:
+                codes += column[pair] <= third
             played[start:stop] = codes
         counts += np.bincount(codes, minlength=counts.size)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chsh_local import game, harness
 from chsh_local.game import DeterministicStrategy, QuestionPair
@@ -218,8 +218,44 @@ class TestMixedTournament:
             (q.qa, q.qb, *last.answers(q)) for q in (QuestionPair(0, 0), QuestionPair(1, 1))
         ]
 
+    @pytest.mark.parametrize("halves, expected", [((0, 1), 1), ((0, 2), 2), ((5, 11), 11)])
+    def test_a_uniform_on_an_interior_edge_takes_the_next_outcome(
+        self, monkeypatch, halves, expected
+    ):
+        # Two weights of 1/2 put an edge at exactly 0.5; zero weights between
+        # them repeat it, and `searchsorted(side="right")` steps past them all.
+        weights = [Fraction(0)] * 16
+        for i in halves:
+            weights[i] = Fraction(1, 2)
+        draws = np.array([[0.0, 0.75, 0.5], [0.75, 0.0, 0.5]])
+        monkeypatch.setattr(harness, "_round_uniforms", lambda seed, ids: draws[: len(ids)])
+        _, records = harness.play_rounds(TournamentConfig(rounds=2, mode="mixed", weights=weights))
+        edges = np.cumsum([float(w) for w in weights])
+        assert np.searchsorted(edges, 0.5, side="right") == expected
+        strategy = game.all_strategies()[expected]
+        assert [(r.qa, r.qb, r.aa, r.ab) for r in records] == [
+            (q.qa, q.qb, *strategy.answers(q)) for q in (QuestionPair(0, 1), QuestionPair(1, 0))
+        ]
+
 
 class TestQuantumTournament:
+    def test_a_uniform_on_an_interior_edge_takes_the_next_outcome(self, monkeypatch):
+        # A third uniform on the edge after leaf k takes leaf k + 1.
+        draws, expected = [], []
+        for q in game.QUESTION_PAIRS:
+            leaves = game.branch_tree(game.default_protocol(), q).leaves()
+            edges = np.cumsum([leaf.measure for leaf in leaves])
+            for k, edge in enumerate(edges[:-1]):
+                assert np.searchsorted(edges, edge, side="right") == k + 1
+                draws.append([0.25 + 0.5 * q.qa, 0.25 + 0.5 * q.qb, edge])
+                leaf = leaves[k + 1]
+                expected.append((q.qa, q.qb, leaf.alice_outcome, leaf.bob_outcome, leaf.measure))
+        draws = np.array(draws)
+        monkeypatch.setattr(harness, "_round_uniforms", lambda seed, ids: draws[: len(ids)])
+        _, records = harness.play_rounds(TournamentConfig(rounds=len(draws), mode="quantum"))
+        assert len(records) == 12
+        assert [(r.qa, r.qb, r.aa, r.ab, r.leaf_measure) for r in records] == expected
+
     def test_exact_measure_reproduces_quantum_value(self):
         cfg = TournamentConfig(rounds=1000, mode="quantum", seed=2, sampling="exact_measure")
         report, records = harness.play_rounds(cfg)
@@ -257,6 +293,37 @@ class TestQuantumTournament:
         report, _ = harness.play_rounds(cfg)
         assert not report.isolation
         assert harness.play_rounds(TournamentConfig(rounds=10, mode="quantum", seed=1))[0].isolation
+
+
+def reference_uniforms(seed: int, round_id: int) -> np.ndarray:
+    key = np.array([seed, round_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(3)
+
+
+class TestRoundDraws:
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), first=st.integers(0, 2**64 - 1),
+           count=st.integers(1, 40))
+    @example(seed=2**63 + 12345, first=2**64 - 1, count=1)
+    @example(seed=2**64 - 1, first=2**64 - 40, count=40)
+    @example(seed=1, first=0, count=1)
+    def test_round_uniforms_match_numpy_philox_for_any_seed(self, seed, first, count):
+        round_ids = range(first, min(first + count, 2**64))
+        got = harness._round_uniforms(seed, np.array(round_ids, dtype=np.uint64))
+        expected = np.array([reference_uniforms(seed, r) for r in round_ids])
+        assert got.shape == (len(round_ids), 3)
+        assert np.array_equal(got, expected)
+
+    def test_one_block_of_draws_peaks_under_twelve_columns(self):
+        round_ids = np.arange(BLOCK_ROUNDS, dtype=np.uint64)
+        harness._round_uniforms(5, round_ids)
+        tracemalloc.start()
+        try:
+            harness._round_uniforms(5, round_ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * BLOCK_ROUNDS
 
 
 class TestDeterminism:
@@ -304,6 +371,18 @@ class TestRoundTable:
             self.table()[index]
         with pytest.raises(IndexError):
             RoundTable(np.empty(0, dtype=np.uint8), self.ROWS)[0]
+
+    @pytest.mark.parametrize("index", [
+        slice(0, 2), slice(None), slice(1, None), slice(-3, None), slice(None, -1),
+        slice(None, None, 2), slice(1, None, 2), slice(None, None, -1), slice(3, 0, -2),
+        slice(-1, -5, -1), slice(2, 2), slice(10, 20), slice(-100, 100),
+    ])
+    def test_a_slice_is_the_list_of_those_rounds_records(self, index):
+        table = self.table()
+        got = table[index]
+        assert type(got) is list
+        assert got == list(table)[index] == self.expected()[index]
+        assert [r.round_id for r in got] == list(range(4))[index]
 
     def test_iteration_yields_records_in_round_order(self):
         assert list(self.table()) == self.expected()
