@@ -6,7 +6,9 @@ the engine, the sampler or the report writer that moves a single byte of a
 seeded report fails here, so a refactor that claims to keep every number
 can prove it.  The engine's own numbers are pinned bit for bit as well, by
 ``float.hex``: every branch tree's parent and leaf measures, the redundancy
-visibilities, and a digest of ``record_measures`` on seeded random circuits.
+visibilities, and digests of ``record_measures`` and of the state-vector
+oracle (``run_circuit`` amplitudes and ``record_probabilities``) on seeded
+random circuits.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from chsh_local import cli, descriptors, game, verify
+from chsh_local import cli, descriptors, game, statevector, verify
 
 GOLDEN = [
     (
@@ -131,4 +133,24 @@ def test_record_measures_of_seeded_circuits_are_pinned_bit_for_bit():
             digest.update(" ".join(m.hex() for m in measures).encode() + b"\n")
     assert digest.hexdigest() == (
         "0a555ed295fbea63dfe1b8e7d3aff8dfeddcf7abb4448bcd68e25bada9ee7007"
+    )
+
+
+def test_oracle_of_seeded_circuits_is_pinned_bit_for_bit():
+    # On 200 circuits of 1-4 qubits and 1-20 gates: one text line of
+    # float.hex values for the amplitudes (real and imaginary parts), then
+    # one per record_probabilities call, the full register in both orders
+    # and each single qubit.
+    rng = np.random.default_rng(2026)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        state = statevector.run_circuit(n, verify.random_circuit(rng, n, int(rng.integers(1, 21))))
+        parts = [x for a in state.amplitudes.tolist() for x in (a.real, a.imag)]
+        digest.update(" ".join(x.hex() for x in parts).encode() + b"\n")
+        for qubits in [list(range(n)), list(range(n))[::-1]] + [[k] for k in range(n)]:
+            probabilities = statevector.record_probabilities(state, qubits)
+            digest.update(" ".join(p.hex() for p in probabilities).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "22259f3ff10ac7246b73775d6fcaaa81a023c7413a0ea85ac337aa3f4918c0bf"
     )
