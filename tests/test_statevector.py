@@ -7,6 +7,7 @@ import pytest
 
 from chsh_local import descriptors, linalg, statevector, verify
 from chsh_local.descriptors import GateSpec
+from chsh_local.linalg import MAX_QUBITS
 
 
 def test_init_state_is_all_zeros_ket():
@@ -90,21 +91,30 @@ def masked_sum_probability(state, outcomes):
     return float(probs[mask].sum())
 
 
+def assert_masked_sums(state, qubits):
+    probabilities = statevector.record_probabilities(state, qubits)
+    assert len(probabilities) == 2 ** len(qubits)
+    for j, bits in enumerate(itertools.product((0, 1), repeat=len(qubits))):
+        record = list(zip(qubits, bits))
+        # The empty record is certain: exactly 1, not the rounded norm.
+        reference = masked_sum_probability(state, record) if record else 1.0
+        assert probabilities[j] == reference
+        assert statevector.outcome_probability(state, record) == reference
+
+
 def test_record_probabilities_equal_per_record_masked_sums():
     rng = np.random.default_rng(5)
     for _ in range(200):
         n = int(rng.integers(1, 6))
         gates = verify.random_circuit(rng, n, int(rng.integers(1, 15)))
         state = statevector.run_circuit(n, gates)
-        qubits = rng.permutation(n)[: rng.integers(0, n + 1)].tolist()
-        probabilities = statevector.record_probabilities(state, qubits)
-        assert len(probabilities) == 2 ** len(qubits)
-        for j, bits in enumerate(itertools.product((0, 1), repeat=len(qubits))):
-            record = list(zip(qubits, bits))
-            # The empty record is certain: exactly 1, not the rounded norm.
-            reference = masked_sum_probability(state, record) if record else 1.0
-            assert probabilities[j] == reference
-            assert statevector.outcome_probability(state, record) == reference
+        assert_masked_sums(state, rng.permutation(n)[: rng.integers(0, n + 1)].tolist())
+    # Larger registers, so that a record's sum runs over up to 1024 entries:
+    # past numpy's 8-element unrolled sum and its 128-element pairwise block.
+    for n in range(6, MAX_QUBITS + 1):
+        state = statevector.run_circuit(n, verify.random_circuit(rng, n, 4 * n))
+        for k in (1, 2, 3):
+            assert_masked_sums(state, rng.permutation(n)[:k].tolist())
 
 
 def test_empty_record_is_exactly_certain():
@@ -137,6 +147,30 @@ def test_single_qubit_gates_equal_the_tensordot_contraction_bit_for_bit():
             if g.name != "CNOT":
                 assert np.array_equal(after.amplitudes, tensordot_gate(state, g))
             state = after
+
+
+def flip_gate(state, g):
+    """Reference CNOT: the target-flipped amplitudes, taken where the control is 1."""
+    control, target = g.targets
+    psi = state.amplitudes.reshape((2,) * state.n)
+    after = psi.copy()
+    picked = tuple(1 if axis == control else slice(None) for axis in range(state.n))
+    after[picked] = np.flip(psi, axis=target)[picked]
+    return after.reshape(state.dim)
+
+
+def test_a_circuit_equals_its_gates_applied_one_by_one():
+    # run_circuit applies a whole circuit in one gate loop; folding the
+    # per-gate references over the same gates must give the same bits.
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        gates = verify.random_circuit(rng, n, int(rng.integers(0, 25)))
+        reference = statevector.init_state(n)
+        for g in gates:
+            step = flip_gate if g.name == "CNOT" else tensordot_gate
+            reference = statevector.StateVector(n, step(reference, g))
+        assert np.array_equal(statevector.run_circuit(n, gates).amplitudes, reference.amplitudes)
 
 
 def test_application_matches_full_matrix_route():
