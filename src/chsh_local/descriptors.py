@@ -464,14 +464,23 @@ def _last_reads(m: PauliSum, qz: PauliSum, n: int) -> tuple[float, float]:
             if k2 >> n == x1:
                 c = -c1 * c2 if (k1 & x1).bit_count() & 1 else c1 * c2
                 product[k1 ^ k2] = product.get(k1 ^ k2, 0.0) + c
-    base = {z: 0.5 * c for z, c in m.items() if z >> n == 0}
-    reads = []
-    for sign in (1.0, -1.0):
-        read = dict(base)
-        for z, c in product.items():
-            read[z] = read.get(z, 0.0) + 0.5 * sign * c
-        reads.append(float(sum(read.values())))
-    return reads[0], reads[1]
+    zero, one = _halves({z: 0.5 * c for z, c in m.items() if z >> n == 0}, product)
+    return float(sum(zero.values())), float(sum(one.values()))
+
+
+def _halves(half: dict, product: PauliSum) -> tuple[dict, dict]:
+    """half + product / 2 and half - product / 2, in one pass over product.
+
+    `half` holds M's halved coefficients and becomes the first result.  Each
+    key gets the same operations, and each result the same key order, as the
+    separate combinations 0.5 M + 0.5 P and 0.5 M - 0.5 P would give.
+    """
+    zero, one = half, dict(half)
+    for key, c in product.items():
+        h = 0.5 * c
+        zero[key] = zero.get(key, 0.0) + h
+        one[key] = one.get(key, 0.0) - h
+    return zero, one
 
 
 def joint_measure(net: DescriptorNetwork, outcomes) -> float:
@@ -501,11 +510,18 @@ def record_measures(net: DescriptorNetwork, qubits) -> tuple[float, ...]:
 
 
 def _fold_records(m: PauliSum, qzs: list[PauliSum], n: int) -> tuple[float, ...]:
-    """Reads of every continuation of the fold at M over the qzs on n qubits, outcome 0 first."""
+    """Reads of every continuation of the fold at M over the qzs on n qubits, outcome 0 first.
+
+    Both children of a node, (M + M qz) / 2 and (M - M qz) / 2, come from one
+    pass over M and one over M qz (:func:`_halves`), and both are frozen
+    before either is folded on.  A combination would start each of M's
+    coefficients from 0.0 + 0.5 c, which is 0.5 c except for a signed zero,
+    and :func:`_pauli_sum` drops zeros, so the children are bit-identical.
+    """
     if len(qzs) == 1:
         return _last_reads(m, qzs[0], n)
     mq = _product(m, qzs[0], n)
-    zero, one = _combine((0.5, m), (0.5, mq)), _combine((0.5, m), (-0.5, mq))
+    zero, one = map(_pauli_sum, _halves({key: 0.5 * c for key, c in m.items()}, mq))
     return _fold_records(zero, qzs[1:], n) + _fold_records(one, qzs[1:], n)
 
 

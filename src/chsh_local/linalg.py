@@ -59,9 +59,21 @@ def roty(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+#: The fixed single-qubit gates by name; ROTY(theta) is built by :func:`roty`.
+_FIXED_GATES = {"X": X, "Y": Y, "Z": Z, "H": H}
+
+
 def single_qubit_gate(name: str, theta: float | None = None) -> np.ndarray:
-    """Matrix of the single-qubit gate X, Y, Z, H or ROTY(theta) by name."""
-    return roty(theta) if name == "ROTY" else {"X": X, "Y": Y, "Z": Z, "H": H}[name]
+    """Matrix of the single-qubit gate X, Y, Z, H or ROTY(theta) by name.
+
+    Any other name is a ValueError naming it.
+    """
+    if name == "ROTY":
+        return roty(theta)
+    try:
+        return _FIXED_GATES[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"no single-qubit gate named {name!r}") from None
 
 
 def _as_square(a) -> np.ndarray:

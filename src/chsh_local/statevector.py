@@ -8,11 +8,15 @@ operator conjugation.  Agreement between the two routes is evidence, not
 tautology.
 
 Qubit 0 is the leftmost tensor factor, so after reshaping the amplitude
-vector to shape (2,) * n, axis k belongs to qubit k directly.  Outcome
-probabilities are Born-rule sums of |amplitude|**2 over the basis states
-consistent with a record; :func:`record_probabilities` forms the squared
-amplitudes and each basis state's outcome code once for all 2**k records
-on k qubits, and :func:`outcome_probability` reads one of its entries.
+vector to shape (2,) * n, axis k belongs to qubit k directly.
+:func:`apply_circuit_sv` is the one gate loop: it carries one working
+array through a whole circuit and freezes one StateVector at the end;
+:func:`apply_gate_sv` is its one-gate case.  Outcome probabilities are
+Born-rule sums of |amplitude|**2 over the basis states consistent with a
+record; :func:`record_probabilities` groups the squared amplitudes by
+outcome code with one stable sort and sums every group of all 2**k
+records on k qubits at once, and :func:`outcome_probability` reads one
+of its entries.
 """
 
 from __future__ import annotations
@@ -55,40 +59,40 @@ def init_state(n: int) -> StateVector:
 
 
 def apply_gate_sv(state: StateVector, g: GateSpec) -> StateVector:
-    """Apply one gate by contracting it into the amplitude tensor.
-
-    A single-qubit gate on qubit k is one matrix product with the amplitudes
-    reshaped so that axis k leads; CNOT flips the target axis inside the
-    control's 1 slice.
-    """
-    g.validate_for(state.n)
-    psi = state.amplitudes.reshape((2,) * state.n)
-    if g.name == "CNOT":
-        control, target = g.targets
-        psi = psi.copy()
-        picked = [slice(None)] * state.n
-        picked[control] = 1
-        picked = tuple(picked)
-        # Target axis index drops by one inside the control slice.
-        flip_axis = target if target < control else target - 1
-        psi[picked] = np.flip(psi[picked], axis=flip_axis)
-    else:
-        # The contraction np.tensordot(u, psi, axes=([1], [k])) performs,
-        # written out: the same np.dot on the same operands, so bit-identical
-        # to it, without its per-call Python overhead.  A stacked
-        # u @ psi.reshape(2**k, 2, -1) is not: its products round differently.
-        u = linalg.single_qubit_gate(g.name, g.theta)
-        k = g.targets[0]
-        psi = np.dot(u, psi.reshape(2**k, 2, -1).transpose(1, 0, 2).reshape(2, -1))
-        psi = psi.reshape(2, 2**k, -1).transpose(1, 0, 2)
-    return StateVector(n=state.n, amplitudes=_frozen(np.ascontiguousarray(psi.reshape(state.dim))))
+    """Apply one gate: :func:`apply_circuit_sv` on the one-gate circuit ``(g,)``."""
+    return apply_circuit_sv(state, (g,))
 
 
 def apply_circuit_sv(state: StateVector, gates: Iterable[GateSpec]) -> StateVector:
-    """Fold :func:`apply_gate_sv` over a gate sequence."""
+    """Apply a gate sequence by contracting each gate into the amplitude tensor.
+
+    Each gate is checked against the register, then applied to one working
+    copy of the amplitudes.  A single-qubit gate on qubit k is one matrix
+    product with the amplitudes reshaped so that axis k leads; CNOT flips
+    the target axis inside the control's 1 slice, in place.  One StateVector
+    is built and frozen at the end, so a gate that raises leaves `state` as
+    it was.
+    """
+    n = state.n
+    psi = state.amplitudes.copy()
     for g in gates:
-        state = apply_gate_sv(state, g)
-    return state
+        g.validate_for(n)
+        if g.name == "CNOT":
+            control, target = g.targets
+            picked = tuple(1 if axis == control else slice(None) for axis in range(n))
+            tensor = psi.reshape((2,) * n)
+            # Target axis index drops by one inside the control slice.
+            tensor[picked] = np.flip(tensor[picked], axis=target - (target > control))
+        else:
+            # The contraction np.tensordot(u, psi, axes=([1], [k])) performs,
+            # written out: the same np.dot on the same operands, so bit-identical
+            # to it, without its per-call Python overhead.  A stacked
+            # u @ psi.reshape(2**k, 2, -1) is not: its products round differently.
+            u = linalg.single_qubit_gate(g.name, g.theta)
+            k = g.targets[0]
+            psi = np.dot(u, psi.reshape(2**k, 2, -1).transpose(1, 0, 2).reshape(2, -1))
+            psi = psi.reshape(2, 2**k, -1).transpose(1, 0, 2).reshape(-1)
+    return StateVector(n=n, amplitudes=_frozen(psi))
 
 
 def run_circuit(n: int, gates: Iterable[GateSpec]) -> StateVector:
@@ -112,8 +116,9 @@ def record_probabilities(state: StateVector, qubits) -> tuple[float, ...]:
     Entry j is the probability of the record whose outcome bits, qubits[0]
     most significant, spell j: |amplitude|**2 summed over the basis indices
     whose bits on `qubits` spell j.  |amplitude|**2 and each index's outcome
-    code are formed once, and each record sums the same entries in the same
-    order as a per-record mask would.
+    code are formed once; one stable sort of the codes makes row j of a
+    (2**k, 2**n / 2**k) array hold record j's entries in index order, and
+    one row sum gives every record the float a per-record mask would.
     """
     specs = OutcomeSpec.checked_record([(q, 0) for q in as_items(qubits, "qubits")], state.n)
     if not specs:
@@ -125,5 +130,8 @@ def record_probabilities(state: StateVector, qubits) -> tuple[float, ...]:
     code = np.zeros(state.dim, dtype=indices.dtype)
     for s in specs:
         code = (code << 1) | ((indices >> (state.n - 1 - s.qubit)) & 1)
-    # Of a list, not of a generator: see OutcomeSpec.checked_record.
-    return tuple([float(probs[code == j].sum()) for j in range(2 ** len(specs))])
+    # A stable sort lists each record's indices in increasing order, so row j
+    # holds the entries the mask code == j picks, in the same order, and
+    # numpy's pairwise sum of the row returns the same float.
+    rows = probs[np.argsort(code, kind="stable")].reshape(2 ** len(specs), -1)
+    return tuple(rows.sum(axis=1).tolist())

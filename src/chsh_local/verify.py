@@ -55,6 +55,15 @@ def check_circuit_count(n_circuits: int) -> None:
         raise ValueError(f"n_circuits must be >= 1, got {n_circuits}")
 
 
+def _suite_rng(n_circuits: int, seed: int) -> np.random.Generator:
+    """A suite's generator, once its circuit count and its seed (an int >= 0) are checked."""
+    check_circuit_count(n_circuits)
+    seed = descriptors.as_index(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def random_circuit(
     rng: np.random.Generator,
     n: int,
@@ -63,10 +72,25 @@ def random_circuit(
 ) -> list[GateSpec]:
     """Random gate sequence on an n-qubit register.
 
-    `allowed` restricts the qubits gates may target (default: all).  CNOTs
-    appear only when two targets are available.
+    `allowed` restricts the qubits gates may target (default: all); it must
+    hold distinct indices in [0, n).  CNOTs appear only when two targets are
+    available.  `depth` must be an int >= 0.  Every check runs before the
+    first draw, and each failure is a ValueError naming its argument.
     """
-    targets = tuple(range(n)) if allowed is None else tuple(allowed)
+    n = descriptors.as_index(n, "n")
+    depth = descriptors.as_index(depth, "depth")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    if allowed is None:
+        targets = tuple(range(n))
+    else:
+        targets = tuple([
+            descriptors.as_index(q, "allowed") for q in descriptors.as_items(allowed, "allowed")
+        ])
+        if not all(0 <= q < n for q in targets):
+            raise ValueError(f"allowed qubits must be in [0, {n}), got {list(targets)}")
+        if len(set(targets)) < len(targets):
+            raise ValueError(f"allowed qubits must be distinct, got {list(targets)}")
     if not targets:
         raise ValueError("need at least one allowed qubit")
     names = list(descriptors.GATE_NAMES) if len(targets) >= 2 else list(
@@ -105,10 +129,9 @@ def picture_equivalence_suite(
     reversed order (one more batch call on the reversed qubits), and a
     change beyond the default tolerance is a failure as well: the order
     independence of commuting projectors.  `n_circuits` must be an int of at
-    least 1; anything else is a ValueError.
+    least 1 and `seed` an int of at least 0; anything else is a ValueError.
     """
-    check_circuit_count(n_circuits)
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(n_circuits, seed)
     failures = 0
     checked = 0
     max_deviation = 0.0
@@ -161,10 +184,10 @@ def locality_suite(n_circuits: int = 500, seed: int = DEFAULT_SUITE_SEED + 1) ->
     remote circuit of 1 to SUITE_MAX_DEPTH gates avoiding the watched
     qubit; its stored sums must come back exactly unchanged and must match
     recomputation from the whole circuit's unitary.  `n_circuits` must be
-    an int of at least 1; anything else is a ValueError.
+    an int of at least 1 and `seed` an int of at least 0; anything else is
+    a ValueError.
     """
-    check_circuit_count(n_circuits)
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(n_circuits, seed)
     failures = 0
     for _ in range(n_circuits):
         n = int(rng.integers(2, SUITE_MAX_QUBITS + 1))

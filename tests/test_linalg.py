@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra layer and its gate constants."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -151,3 +153,13 @@ def test_validators_reject_nonfinite_entries():
 def test_gate_constants_are_read_only():
     with pytest.raises(ValueError):
         linalg.X[0, 0] = 5.0
+
+
+def test_single_qubit_gate_reads_the_fixed_gates_and_names_an_unknown_one():
+    for name, matrix in (("X", linalg.X), ("Y", linalg.Y), ("Z", linalg.Z), ("H", linalg.H)):
+        assert linalg.single_qubit_gate(name) is matrix
+    assert np.array_equal(linalg.single_qubit_gate("ROTY", 0.3), linalg.roty(0.3))
+    for bad in ("CNOT", "x", "", None, ["X"]):
+        message = f"^no single-qubit gate named {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            linalg.single_qubit_gate(bad)

@@ -55,6 +55,44 @@ def test_random_circuit_needs_an_allowed_qubit():
         verify.random_circuit(np.random.default_rng(0), 3, 5, allowed=())
 
 
+@pytest.mark.parametrize(
+    "n, depth, allowed, message",
+    [
+        (2, -3, None, r"depth must be >= 0, got -3"),
+        (2, 2.5, None, r"depth must be an int, got 2\.5"),
+        (2, True, None, r"depth must be an int, got True"),
+        (2.0, 3, None, r"n must be an int, got 2\.0"),
+        (2, 3, (5, 7), r"allowed qubits must be in \[0, 2\), got \[5, 7\]"),
+        (2, 3, (0, -1), r"allowed qubits must be in \[0, 2\), got \[0, -1\]"),
+        (2, 3, (1, 1), r"allowed qubits must be distinct, got \[1, 1\]"),
+        (2, 3, (0, 1.0), r"allowed must be an int, got 1\.0"),
+        (2, 3, 1, r"allowed must be a sequence, got 1"),
+    ],
+    ids=[
+        "negative-depth", "float-depth", "bool-depth", "float-n", "off-register",
+        "negative-qubit", "repeated-qubit", "float-qubit", "not-a-sequence",
+    ],
+)
+def test_random_circuit_rejects_bad_inputs_before_any_draw(n, depth, allowed, message):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify.random_circuit(rng, n, depth, allowed=allowed)
+    # Nothing was drawn: the generator is where a fresh one starts.
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_random_circuit_keeps_its_draws_for_valid_inputs():
+    # Depth 0 draws nothing; numpy ints and a list are valid `allowed` values,
+    # and each gate stays on the allowed qubits.
+    rng = np.random.default_rng(4)
+    assert verify.random_circuit(rng, 3, 0) == []
+    assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+    gates = verify.random_circuit(rng, 4, 30, allowed=[np.int64(3), 1])
+    assert {t for g in gates for t in g.targets} <= {1, 3}
+    again = verify.random_circuit(np.random.default_rng(4), 4, 30, allowed=(3, 1))
+    assert gates == again
+
+
 def test_locality_suite_catches_a_dropped_circuit_gate(monkeypatch):
     # The stored descriptors stay right, so only the dense recomputation
     # can catch a cumulative unitary that forgets the first gate of the
@@ -111,6 +149,26 @@ def test_locality_suite_catches_a_rewritten_non_target(monkeypatch):
 def test_suites_reject_sizes_that_check_nothing(suite, kwargs, message):
     with pytest.raises(ValueError, match=message):
         suite(**kwargs)
+
+
+@pytest.mark.parametrize("suite", [verify.picture_equivalence_suite, verify.locality_suite])
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (True, "seed must be an int, got True"),
+        (1.5, r"seed must be an int, got 1\.5"),
+        (-1, "seed must be >= 0, got -1"),
+    ],
+    ids=["bool", "float", "negative"],
+)
+def test_suites_reject_a_seed_that_is_not_an_int_of_at_least_zero(suite, seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        suite(n_circuits=1, seed=seed)
+
+
+def test_suites_take_a_numpy_int_seed_as_its_value():
+    for suite in (verify.picture_equivalence_suite, verify.locality_suite):
+        assert suite(n_circuits=3, seed=np.int64(7)) == suite(n_circuits=3, seed=7)
 
 
 def test_locality_suite_needs_two_qubits():
