@@ -13,10 +13,9 @@ vector to shape (2,) * n, axis k belongs to qubit k directly.
 array through a whole circuit and freezes one StateVector at the end;
 :func:`apply_gate_sv` is its one-gate case.  Outcome probabilities are
 Born-rule sums of |amplitude|**2 over the basis states consistent with a
-record; :func:`record_probabilities` groups the squared amplitudes by
-outcome code with one stable sort and sums every group of all 2**k
-records on k qubits at once, and :func:`outcome_probability` reads one
-of its entries.
+record; :func:`record_probabilities` groups the squared amplitudes of
+all 2**k records on k qubits into rows with one transpose and sums every
+row at once, and :func:`outcome_probability` reads one of its entries.
 """
 
 from __future__ import annotations
@@ -115,10 +114,11 @@ def record_probabilities(state: StateVector, qubits) -> tuple[float, ...]:
 
     Entry j is the probability of the record whose outcome bits, qubits[0]
     most significant, spell j: |amplitude|**2 summed over the basis indices
-    whose bits on `qubits` spell j.  |amplitude|**2 and each index's outcome
-    code are formed once; one stable sort of the codes makes row j of a
-    (2**k, 2**n / 2**k) array hold record j's entries in index order, and
-    one row sum gives every record the float a per-record mask would.
+    whose bits on `qubits` spell j.  |amplitude|**2 is formed once and
+    transposed so that the record's axes lead, in record order, and the
+    others follow in qubit order: row j of that (2**k, 2**n / 2**k) array
+    holds record j's entries in index order, and one row sum gives every
+    record the float a per-record mask would.
     """
     specs = OutcomeSpec.checked_record([(q, 0) for q in as_items(qubits, "qubits")], state.n)
     if not specs:
@@ -126,12 +126,11 @@ def record_probabilities(state: StateVector, qubits) -> tuple[float, ...]:
         # only 1 up to rounding.
         return (1.0,)
     probs = np.abs(state.amplitudes) ** 2
-    indices = np.arange(state.dim)
-    code = np.zeros(state.dim, dtype=indices.dtype)
-    for s in specs:
-        code = (code << 1) | ((indices >> (state.n - 1 - s.qubit)) & 1)
-    # A stable sort lists each record's indices in increasing order, so row j
-    # holds the entries the mask code == j picks, in the same order, and
-    # numpy's pairwise sum of the row returns the same float.
-    rows = probs[np.argsort(code, kind="stable")].reshape(2 ** len(specs), -1)
-    return tuple(rows.sum(axis=1).tolist())
+    record = [s.qubit for s in specs]
+    axes = record + [q for q in range(state.n) if q not in record]
+    # Row j holds the entries the mask code == j would pick, in the same
+    # increasing index order, so numpy's pairwise row sum returns the same
+    # float.  Only on a contiguous copy: a strided view's rows are summed
+    # in another order.
+    rows = np.ascontiguousarray(probs.reshape((2,) * state.n).transpose(axes))
+    return tuple(rows.reshape(2 ** len(specs), -1).sum(axis=1).tolist())
