@@ -189,6 +189,11 @@ class GateSpec(_Gate):
         return cls("CNOT", (control, target))
 
 
+def _check_distinct(qubits: list[int]) -> None:
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"outcome qubits must be distinct, got {qubits}")
+
+
 class OutcomeSpec(NamedTuple):
     """A z-basis outcome on one qubit: 0 is the +1 eigenvalue, 1 the -1."""
 
@@ -211,18 +216,29 @@ class OutcomeSpec(NamedTuple):
 
     @classmethod
     def checked_record(cls, outcomes, n: int) -> list["OutcomeSpec"]:
-        """A joint outcome record as OutcomeSpecs, each checked, on distinct qubits.
-
-        A qubit list is checked as the record of outcome 0 on each qubit.
-        """
+        """A joint outcome record as OutcomeSpecs, each checked, on distinct qubits."""
         # A list, not tuple() of a generator: called once per record, the
         # generator form made resident memory creep up by about 0.5 MiB
         # before levelling off (CPython 3.11).
         specs = [cls.checked(o, n) for o in as_items(outcomes, "outcomes")]
-        qubits = [s.qubit for s in specs]
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"outcome qubits must be distinct, got {qubits}")
+        _check_distinct([s.qubit for s in specs])
         return specs
+
+    @staticmethod
+    def checked_qubits(qubits, n: int) -> list[int]:
+        """A record's qubit list as plain ints in [0, n), distinct.
+
+        Item by item, as :meth:`checked_record` checks the record of outcome
+        0 on each qubit, so the first bad item gives the same message.
+        """
+        checked = []
+        for q in as_items(qubits, "qubits"):
+            q = as_index(q, "qubit")
+            if not 0 <= q < n:
+                raise ValueError(f"qubit {q} out of range for n={n}")
+            checked.append(q)
+        _check_distinct(checked)
+        return checked
 
     @staticmethod
     def record_index(specs) -> int:
@@ -365,6 +381,11 @@ def _combine(*scaled: tuple[float, PauliSum]) -> PauliSum:
     return _pauli_sum(acc)
 
 
+def _negated(s: PauliSum) -> PauliSum:
+    """-s in s's key order; a stored sum holds no exact zero, so there is none to drop."""
+    return MappingProxyType({key: -c for key, c in s.items()})
+
+
 def _reference_expectation(s: PauliSum, n: int) -> float:
     """<0...0| s |0...0> on n qubits: the coefficients of the strings with no X bit."""
     return float(sum(c for key, c in s.items() if key >> n == 0))
@@ -395,11 +416,11 @@ def _single_qubit_update(g: GateSpec, qx: PauliSum, qz: PauliSum) -> tuple[Pauli
     if g.name == "H":
         return qz, qx
     if g.name == "X":
-        return qx, _combine((-1.0, qz))
+        return qx, _negated(qz)
     if g.name == "Z":
-        return _combine((-1.0, qx)), qz
+        return _negated(qx), qz
     if g.name == "Y":
-        return _combine((-1.0, qx)), _combine((-1.0, qz))
+        return _negated(qx), _negated(qz)
     c, s = math.cos(g.theta), math.sin(g.theta)
     return _combine((c, qx), (s, qz)), _combine((c, qz), (-s, qx))
 
@@ -504,8 +525,7 @@ def record_measures(net: DescriptorNetwork, qubits) -> tuple[float, ...]:
     the last step reads both outcomes from one x1 == x2 product, so shared
     record prefixes are folded once.
     """
-    specs = OutcomeSpec.checked_record([(q, 0) for q in as_items(qubits, "qubits")], net.n)
-    qzs = [net.descriptors[s.qubit].qz for s in specs]
+    qzs = [net.descriptors[q].qz for q in OutcomeSpec.checked_qubits(qubits, net.n)]
     return _fold_records({0: 1.0}, qzs, net.n) if qzs else (1.0,)
 
 

@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from . import linalg
-from .descriptors import GateSpec, OutcomeSpec, as_index, as_items
+from .descriptors import GateSpec, OutcomeSpec, as_index
 from .linalg import MAX_QUBITS
 
 
@@ -120,17 +120,16 @@ def record_probabilities(state: StateVector, qubits) -> tuple[float, ...]:
     holds record j's entries in index order, and one row sum gives every
     record the float a per-record mask would.
     """
-    specs = OutcomeSpec.checked_record([(q, 0) for q in as_items(qubits, "qubits")], state.n)
-    if not specs:
+    record = OutcomeSpec.checked_qubits(qubits, state.n)
+    if not record:
         # The empty record is certain; the sum of every |amplitude|**2 is
         # only 1 up to rounding.
         return (1.0,)
     probs = np.abs(state.amplitudes) ** 2
-    record = [s.qubit for s in specs]
     axes = record + [q for q in range(state.n) if q not in record]
     # Row j holds the entries the mask code == j would pick, in the same
     # increasing index order, so numpy's pairwise row sum returns the same
     # float.  Only on a contiguous copy: a strided view's rows are summed
     # in another order.
     rows = np.ascontiguousarray(probs.reshape((2,) * state.n).transpose(axes))
-    return tuple(rows.reshape(2 ** len(specs), -1).sum(axis=1).tolist())
+    return tuple(rows.reshape(2 ** len(record), -1).sum(axis=1).tolist())

@@ -14,6 +14,14 @@ are the audits the engine's hot path does not run on every call.  The CLI
 `verify` subcommand, the benchmark and the acceptance tests all run these
 at one circuit size, so a suite takes only a circuit count and a seed: the
 register and depth bounds and the tolerance are the constants below.
+
+Each suite reads every draw (register size, depths, watched qubit and
+gates) through one :class:`_Draws` over its seeded PCG64 generator, which
+turns raw 64-bit words fetched in blocks into exactly the values numpy's
+per-call ``integers``, ``uniform`` and ``choice`` would give, in the same
+order, so the circuits are the ones those calls draw.
+:func:`random_circuit` draws one circuit the same way and leaves its
+generator where the per-call draws would.
 """
 
 from __future__ import annotations
@@ -64,6 +72,94 @@ def _suite_rng(n_circuits: int, seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+class _Draws:
+    """Draws a PCG64 `Generator` would make, read from its raw 64-bit words.
+
+    Words are fetched `block` at a time with ``bit_generator.random_raw`` and
+    turned into exactly the values numpy's per-call methods give, in the
+    same order: :meth:`bounded` is ``integers`` (Lemire's method on the
+    generator's buffered 32-bit halves, low half first), :meth:`uniform` is
+    ``uniform`` and :meth:`pair` is ``choice(m, 2, replace=False)``.  The
+    generator runs ahead by up to a block meanwhile; :meth:`sync` sets it to
+    the state the per-call draws would have left.  Nothing else may draw
+    from the generator between construction and :meth:`sync`.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int = 256):
+        # Another bit generator's words, or its 32-bit buffer, are not PCG64's.
+        if not (
+            isinstance(rng, np.random.Generator) and isinstance(rng.bit_generator, np.random.PCG64)
+        ):
+            raise ValueError(f"rng must be a numpy Generator over PCG64, got {rng!r}")
+        self._bit_generator = rng.bit_generator
+        self._start = self._bit_generator.state
+        self._block = block
+        self._words: list[int] = []
+        self._at = 0
+        self._fetched = 0
+        self._has_half = bool(self._start["has_uint32"])
+        self._half = self._start["uinteger"]
+
+    def _word(self) -> int:
+        """The next raw 64-bit word."""
+        if self._at == len(self._words):
+            self._words = self._bit_generator.random_raw(self._block).tolist()
+            self._fetched += self._block
+            self._at = 0
+        self._at += 1
+        return self._words[self._at - 1]
+
+    def _uint32(self) -> int:
+        """The next 32-bit half: a buffered high half, else a new word's low half."""
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        word = self._word()
+        self._has_half, self._half = True, word >> 32
+        return word & 0xFFFFFFFF
+
+    def bounded(self, top: int) -> int:
+        """An int in [0, top], for 0 <= top < 2**32; top == 0 draws nothing.
+
+        ``integers(low, high)`` is ``low + bounded(high - 1 - low)``.  A
+        product whose low 32 bits fall below 2**32 mod (top + 1) is rejected
+        and drawn again, as in numpy.
+        """
+        if top == 0:
+            return 0
+        span = top + 1
+        threshold = 0x100000000 % span
+        while True:
+            m = self._uint32() * span
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def uniform(self, low: float, high: float) -> float:
+        """A float in [low, high) from one whole word; the 32-bit buffer is kept."""
+        return low + (high - low) * ((self._word() >> 11) * 2**-53)
+
+    def pair(self, m: int) -> tuple[int, int]:
+        """Two distinct ints in [0, m), m >= 2: ``choice(m, 2, replace=False)``.
+
+        Floyd's two steps, then the one-step shuffle, which swaps the pair
+        when its draw is 0.
+        """
+        first = self.bounded(m - 2)
+        second = self.bounded(m - 1)
+        if second == first:
+            second = m - 1
+        return (second, first) if self.bounded(1) == 0 else (first, second)
+
+    def sync(self) -> None:
+        """Set the generator to the state the per-call draws would leave."""
+        bit_generator = self._bit_generator
+        bit_generator.state = self._start
+        bit_generator.advance(self._fetched - len(self._words) + self._at)
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+        bit_generator.state = state
+
+
 def random_circuit(
     rng: np.random.Generator,
     n: int,
@@ -74,8 +170,12 @@ def random_circuit(
 
     `allowed` restricts the qubits gates may target (default: all); it must
     hold distinct indices in [0, n).  CNOTs appear only when two targets are
-    available.  `depth` must be an int >= 0.  Every check runs before the
-    first draw, and each failure is a ValueError naming its argument.
+    available.  `depth` must be an int >= 0, and `rng` a numpy `Generator`
+    over `PCG64` (what ``np.random.default_rng`` returns): the draws are
+    read from its raw words by :class:`_Draws`, and the generator is left
+    where numpy's own per-gate calls would leave it.  Every check runs
+    before the first draw, and each failure is a ValueError naming its
+    argument.
     """
     n = descriptors.as_index(n, "n")
     depth = descriptors.as_index(depth, "depth")
@@ -93,20 +193,30 @@ def random_circuit(
             raise ValueError(f"allowed qubits must be distinct, got {list(targets)}")
     if not targets:
         raise ValueError("need at least one allowed qubit")
-    names = list(descriptors.GATE_NAMES) if len(targets) >= 2 else list(
-        descriptors.GATE_NAMES[:-1]
-    )
+    draws = _Draws(rng)
+    gates = _draw_circuit(draws, targets, depth)
+    draws.sync()
+    return gates
+
+
+def _draw_circuit(draws: _Draws, targets: tuple[int, ...], depth: int) -> list[GateSpec]:
+    """`depth` random gates on `targets` (checked, nonempty), drawn through `draws`.
+
+    Per gate: a name, then a CNOT's (control, target) pair, a ROTY's angle
+    in [-pi, pi) and target, or another gate's target.
+    """
+    names = descriptors.GATE_NAMES if len(targets) >= 2 else descriptors.GATE_NAMES[:-1]
     gates = []
     for _ in range(depth):
-        name = names[rng.integers(len(names))]
+        name = names[draws.bounded(len(names) - 1)]
         if name == "CNOT":
-            control, target = rng.choice(len(targets), size=2, replace=False)
+            control, target = draws.pair(len(targets))
             gates.append(GateSpec.cnot(targets[control], targets[target]))
         elif name == "ROTY":
-            theta = rng.uniform(-math.pi, math.pi)
-            gates.append(GateSpec.roty(theta, targets[rng.integers(len(targets))]))
+            theta = draws.uniform(-math.pi, math.pi)
+            gates.append(GateSpec.roty(theta, targets[draws.bounded(len(targets) - 1)]))
         else:
-            gates.append(GateSpec(name, (targets[rng.integers(len(targets))],)))
+            gates.append(GateSpec(name, (targets[draws.bounded(len(targets) - 1)],)))
     return gates
 
 
@@ -131,16 +241,16 @@ def picture_equivalence_suite(
     independence of commuting projectors.  `n_circuits` must be an int of at
     least 1 and `seed` an int of at least 0; anything else is a ValueError.
     """
-    rng = _suite_rng(n_circuits, seed)
+    draws = _Draws(_suite_rng(n_circuits, seed))
     failures = 0
     checked = 0
     max_deviation = 0.0
     worst = ""
     order_failures = []
     for index in range(n_circuits):
-        n = int(rng.integers(1, SUITE_MAX_QUBITS + 1))
-        depth = int(rng.integers(1, SUITE_MAX_DEPTH + 1))
-        gates = random_circuit(rng, n, depth)
+        n = 1 + draws.bounded(SUITE_MAX_QUBITS - 1)
+        depth = 1 + draws.bounded(SUITE_MAX_DEPTH - 1)
+        gates = _draw_circuit(draws, tuple(range(n)), depth)
         net = descriptors.apply_circuit(descriptors.init_network(n), gates)
         state = statevector.run_circuit(n, gates)
         for qubits in [list(range(n))] + [[k] for k in range(n)]:
@@ -187,16 +297,16 @@ def locality_suite(n_circuits: int = 500, seed: int = DEFAULT_SUITE_SEED + 1) ->
     an int of at least 1 and `seed` an int of at least 0; anything else is
     a ValueError.
     """
-    rng = _suite_rng(n_circuits, seed)
+    draws = _Draws(_suite_rng(n_circuits, seed))
     failures = 0
     for _ in range(n_circuits):
-        n = int(rng.integers(2, SUITE_MAX_QUBITS + 1))
-        watched = int(rng.integers(n))
+        n = 2 + draws.bounded(SUITE_MAX_QUBITS - 2)
+        watched = draws.bounded(n - 1)
         others = tuple(k for k in range(n) if k != watched)
-        prelude_depth = int(rng.integers(0, SUITE_MAX_DEPTH + 1))
-        remote_depth = int(rng.integers(1, SUITE_MAX_DEPTH + 1))
-        prelude = random_circuit(rng, n, prelude_depth)
-        remote_ops = random_circuit(rng, n, remote_depth, allowed=others)
+        prelude_depth = draws.bounded(SUITE_MAX_DEPTH)
+        remote_depth = 1 + draws.bounded(SUITE_MAX_DEPTH - 1)
+        prelude = _draw_circuit(draws, tuple(range(n)), prelude_depth)
+        remote_ops = _draw_circuit(draws, others, remote_depth)
         if not descriptors.locality_audit(n, prelude, watched, remote_ops):
             failures += 1
     detail = f"{n_circuits} remote circuits audited, {failures} locality violations"

@@ -1,12 +1,15 @@
 """Tests for the verification suites' own failure detection and inputs."""
 
 import dataclasses
+import math
 from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chsh_local import descriptors, statevector, verify
+from chsh_local.descriptors import GateSpec
 from chsh_local.linalg import DEFAULT_TOL, MAX_QUBITS
 
 
@@ -176,3 +179,180 @@ def test_locality_suite_needs_two_qubits():
     # register a suite draws must fit the dense routes.
     assert 2 <= verify.SUITE_MAX_QUBITS <= MAX_QUBITS
     assert verify.SUITE_MAX_DEPTH >= 1
+
+
+def per_call_random_circuit(rng, n, depth, allowed=None):
+    """The reference random_circuit: one numpy Generator call per draw."""
+    targets = tuple(range(n)) if allowed is None else tuple(allowed)
+    names = list(descriptors.GATE_NAMES)
+    if len(targets) < 2:
+        names = names[:-1]
+    gates = []
+    for _ in range(depth):
+        name = names[rng.integers(len(names))]
+        if name == "CNOT":
+            control, target = rng.choice(len(targets), size=2, replace=False)
+            gates.append(GateSpec.cnot(targets[control], targets[target]))
+        elif name == "ROTY":
+            theta = rng.uniform(-math.pi, math.pi)
+            gates.append(GateSpec.roty(theta, targets[rng.integers(len(targets))]))
+        else:
+            gates.append(GateSpec(name, (targets[rng.integers(len(targets))],)))
+    return gates
+
+
+def twin(rng):
+    """A second PCG64 Generator in `rng`'s state, its 32-bit buffer included."""
+    copy = np.random.Generator(np.random.PCG64())
+    copy.bit_generator.state = rng.bit_generator.state
+    return copy
+
+
+#: The suites' draws as numpy calls: integers(low, high) for each bound they
+#: use, uniform(-pi, pi) and choice(m, 2, replace=False) for m = 2..4.
+DRAW_CALLS = (
+    [("integers", low, high) for low, high in [(1, 5), (0, 21), (1, 21), (2, 5), (0, 6)]]
+    + [("integers", 0, n) for n in range(1, 5)]
+    + [("uniform",)]
+    + [("choice", m) for m in range(2, 5)]
+)
+
+
+def numpy_draw(rng, call):
+    if call[0] == "integers":
+        return int(rng.integers(call[1], call[2]))
+    if call[0] == "uniform":
+        return rng.uniform(-math.pi, math.pi)
+    return tuple(rng.choice(call[1], size=2, replace=False).tolist())
+
+
+def reader_draw(draws, call):
+    if call[0] == "integers":
+        return call[1] + draws.bounded(call[2] - 1 - call[1])
+    if call[0] == "uniform":
+        return draws.uniform(-math.pi, math.pi)
+    return draws.pair(call[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    buffered=st.booleans(),
+    block=st.integers(1, 9),
+    calls=st.lists(st.sampled_from(DRAW_CALLS), max_size=60),
+)
+def test_draw_reader_matches_numpy_call_for_call(seed, buffered, block, calls):
+    rng = np.random.default_rng(seed)
+    if buffered:
+        rng.integers(6)  # takes a word's low half and buffers its high half
+    assert rng.bit_generator.state["has_uint32"] == int(buffered)
+    reference = twin(rng)
+    draws = verify._Draws(rng, block=block)
+    assert [reader_draw(draws, c) for c in calls] == [numpy_draw(reference, c) for c in calls]
+    draws.sync()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "span, rejected", [(2, False), (3, True), (4, False), (5, True), (6, True)]
+)
+def test_draw_reader_rejects_a_zero_half_as_numpy_does(span, rejected):
+    # Lemire's method rejects a product whose low 32 bits fall below
+    # 2**32 mod span; a buffered half of 0 gives a low word of 0.
+    assert (2**32 % span > 0) == rejected
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0
+        rng.bit_generator.state = state
+        reference = twin(rng)
+        draws = verify._Draws(rng, block=3)
+        assert draws.bounded(span - 1) == int(reference.integers(span))
+        draws.sync()
+        assert rng.bit_generator.state == reference.bit_generator.state
+        # A rejected half makes the draw read a new word.
+        assert (rng.bit_generator.state["state"] != state["state"]) == rejected
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_circuit_equals_its_per_call_reference(seed):
+    rng = np.random.default_rng(seed)
+    reference = np.random.default_rng(seed)
+    for depth in (0, 1, 5, 20, 90):
+        for n, allowed in [(1, None), (2, None), (4, None), (4, (2,)), (5, (4, 0, 2)), (6, [1, 3])]:
+            assert verify.random_circuit(rng, n, depth, allowed) == per_call_random_circuit(
+                reference, n, depth, allowed
+            )
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_suites_make_no_per_call_generator_draws(monkeypatch):
+    # The suites read every draw through one reader of raw words; a numpy
+    # scalar draw on their generator would raise here.
+    class NoScalarDraws(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            raise AssertionError("integers called")
+
+        def uniform(self, *args, **kwargs):
+            raise AssertionError("uniform called")
+
+        def choice(self, *args, **kwargs):
+            raise AssertionError("choice called")
+
+    expected = [
+        verify.picture_equivalence_suite(n_circuits=30, seed=5),
+        verify.locality_suite(n_circuits=15, seed=6),
+    ]
+    monkeypatch.setattr(
+        verify.np.random, "default_rng", lambda seed: NoScalarDraws(np.random.PCG64(seed))
+    )
+    assert [
+        verify.picture_equivalence_suite(n_circuits=30, seed=5),
+        verify.locality_suite(n_circuits=15, seed=6),
+    ] == expected
+
+
+@pytest.mark.parametrize(
+    "make_rng",
+    [
+        lambda: np.random.Generator(np.random.Philox(0)),
+        lambda: np.random.Generator(np.random.MT19937(0)),
+        lambda: np.random.Generator(np.random.PCG64DXSM(0)),
+        lambda: np.random.RandomState(0),
+        lambda: None,
+    ],
+    ids=["philox", "mt19937", "pcg64dxsm", "random-state", "none"],
+)
+def test_random_circuit_refuses_a_generator_it_cannot_follow(make_rng):
+    rng = make_rng()
+    with pytest.raises(ValueError, match=r"^rng must be a numpy Generator over PCG64, got "):
+        verify.random_circuit(rng, 3, 5)
+    if rng is not None:
+        # Nothing was drawn: the next draw is a fresh generator's first.
+        assert rng.random() == make_rng().random()
+
+
+BAD_QUBIT_LISTS = [
+    ([1.5], r"qubit must be an int, got 1\.5"),
+    ([True], "qubit must be an int, got True"),
+    ([-1], "qubit -1 out of range for n=3"),
+    ([3], "qubit 3 out of range for n=3"),
+    ([0, 0], r"outcome qubits must be distinct, got \[0, 0\]"),
+    (1, "qubits must be a sequence, got 1"),
+    (1.5, r"qubits must be a sequence, got 1\.5"),
+    ([5, 1.5], "qubit 5 out of range for n=3"),
+    ([2, 1, 2, 7], "qubit 7 out of range for n=3"),
+]
+
+
+@pytest.mark.parametrize("route", ["engine", "oracle"])
+@pytest.mark.parametrize(
+    "qubits, message", BAD_QUBIT_LISTS, ids=[repr(q) for q, _ in BAD_QUBIT_LISTS]
+)
+def test_both_routes_reject_a_bad_qubit_list_with_one_message(route, qubits, message):
+    if route == "engine":
+        batch, register = descriptors.record_measures, descriptors.init_network(3)
+    else:
+        batch, register = statevector.record_probabilities, statevector.init_state(3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        batch(register, qubits)
