@@ -19,7 +19,6 @@ from .descriptors import (
     Descriptor,
     DescriptorNetwork,
     GateSpec,
-    OutcomeSpec,
     apply_circuit,
     apply_gate,
     branch_measure,
@@ -82,7 +81,6 @@ __all__ = [
     "DeterministicStrategy",
     "GateSpec",
     "Geometry",
-    "OutcomeSpec",
     "QUANTUM_WIN_RATE",
     "QUESTION_PAIRS",
     "QuantumProtocol",

@@ -34,11 +34,17 @@ data and :func:`locality_audit` demands exact equality, not a tolerance.
 Outcome statistics are *branch measures*: the squared-amplitude weight of a
 history, the expectation of a projector in the reference state.  As
 <0...0| X^x Z^z |0...0> = [x = 0], a measure reads the coefficients of the
-strings with no X bit, the keys with ``k >> n == 0``.  A joint record's
-measure folds its outcome projectors into one sum; :func:`record_measures`
-folds all 2**k records on k qubits depth first, so records sharing a prefix
-share its fold steps, and :func:`joint_measure` reads one record's entry
-from it.  The state-vector
+strings with no X bit, the keys with ``k >> n == 0``.  Every measure is a
+record read: a joint record's measure folds its outcome projectors into one
+sum, and :func:`record_measures` folds all 2**k records on k qubits depth
+first, so records sharing a prefix share its fold steps.
+:func:`joint_measure` reads one record's entry from it,
+:func:`branch_measure` is the one-outcome record, and
+:func:`conditional_measure` divides two entries.  The fold's last step,
+``_last_reads``, is the engine's one float boundary, the only place a
+sum's coefficients become a returned float.  :func:`checked_record` and
+:func:`checked_qubits` check a record or its qubit list for the engine and
+the oracle alike.  The state-vector
 oracle in :mod:`chsh_local.statevector` is a second, independent route to
 every such number (the two share gate-matrix constants, no application
 code), and :mod:`chsh_local.verify` runs the audits.  A network holds only
@@ -194,15 +200,18 @@ def _check_distinct(qubits: list[int]) -> None:
         raise ValueError(f"outcome qubits must be distinct, got {qubits}")
 
 
-class OutcomeSpec(NamedTuple):
-    """A z-basis outcome on one qubit: 0 is the +1 eigenvalue, 1 the -1."""
+def checked_record(outcomes, n: int) -> tuple[list[int], int]:
+    """A joint outcome record's qubits and its index among the 2**k records on them.
 
-    qubit: int
-    outcome: int
-
-    @classmethod
-    def checked(cls, o, n: int) -> "OutcomeSpec":
-        """A (qubit, outcome) pair as an OutcomeSpec, checked against an n-qubit register."""
+    Each item must be a (qubit, outcome) pair: a qubit int in [0, n) and an
+    outcome 0 (the +1 eigenvalue of z) or 1 (the -1), checked item by item;
+    then the qubits must be distinct.  The qubits come back as plain ints in
+    record order, and the outcome bits, first item most significant, spell
+    the index: the entry order of :func:`record_measures` and
+    :func:`chsh_local.statevector.record_probabilities`.
+    """
+    qubits, index = [], 0
+    for o in as_items(outcomes, "outcomes"):
         try:
             qubit, outcome = o
         except (TypeError, ValueError):
@@ -212,43 +221,26 @@ class OutcomeSpec(NamedTuple):
             raise ValueError(f"qubit {qubit} out of range for n={n}")
         if outcome not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-        return cls(qubit, outcome)
+        qubits.append(qubit)
+        index = index << 1 | outcome
+    _check_distinct(qubits)
+    return qubits, index
 
-    @classmethod
-    def checked_record(cls, outcomes, n: int) -> list["OutcomeSpec"]:
-        """A joint outcome record as OutcomeSpecs, each checked, on distinct qubits."""
-        # A list, not tuple() of a generator: called once per record, the
-        # generator form made resident memory creep up by about 0.5 MiB
-        # before levelling off (CPython 3.11).
-        specs = [cls.checked(o, n) for o in as_items(outcomes, "outcomes")]
-        _check_distinct([s.qubit for s in specs])
-        return specs
 
-    @staticmethod
-    def checked_qubits(qubits, n: int) -> list[int]:
-        """A record's qubit list as plain ints in [0, n), distinct.
+def checked_qubits(qubits, n: int) -> list[int]:
+    """A record's qubit list as plain ints in [0, n), distinct.
 
-        Item by item, as :meth:`checked_record` checks the record of outcome
-        0 on each qubit, so the first bad item gives the same message.
-        """
-        checked = []
-        for q in as_items(qubits, "qubits"):
-            q = as_index(q, "qubit")
-            if not 0 <= q < n:
-                raise ValueError(f"qubit {q} out of range for n={n}")
-            checked.append(q)
-        _check_distinct(checked)
-        return checked
-
-    @staticmethod
-    def record_index(specs) -> int:
-        """Index of a checked record among the 2**k records on its qubits.
-
-        The record's outcome bits, first spec most significant, spell it:
-        the entry order of :func:`record_measures` and
-        :func:`chsh_local.statevector.record_probabilities`.
-        """
-        return reduce(lambda index, s: (index << 1) | s.outcome, specs, 0)
+    Item by item, as :func:`checked_record` checks the record of outcome 0
+    on each qubit, so the first bad item gives the same message.
+    """
+    checked = []
+    for q in as_items(qubits, "qubits"):
+        q = as_index(q, "qubit")
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for n={n}")
+        checked.append(q)
+    _check_distinct(checked)
+    return checked
 
 
 class Descriptor(NamedTuple):
@@ -386,11 +378,6 @@ def _negated(s: PauliSum) -> PauliSum:
     return MappingProxyType({key: -c for key, c in s.items()})
 
 
-def _reference_expectation(s: PauliSum, n: int) -> float:
-    """<0...0| s |0...0> on n qubits: the coefficients of the strings with no X bit."""
-    return float(sum(c for key, c in s.items() if key >> n == 0))
-
-
 def init_network(n: int) -> DescriptorNetwork:
     """Fresh n-qubit network: descriptor k holds the one-term sums X_k and Z_k.
 
@@ -458,14 +445,13 @@ def apply_circuit(net: DescriptorNetwork, gates: Iterable[GateSpec]) -> Descript
 
 
 def branch_measure(net: DescriptorNetwork, o) -> float:
-    """Measure of the history where qubit's z-readout shows `outcome`.
+    """Measure of the history where qubit's z-readout shows outcome, o = (qubit, outcome).
 
-    Reads <0...0| (I + (-1)**outcome qz) / 2 |0...0> from qz's strings
-    with no X bit.  Measures of the two outcomes of any qubit sum to 1.
+    The one-outcome record's read, :func:`joint_measure` of ``[o]``:
+    <0...0| (I + (-1)**outcome qz) / 2 |0...0> from the fold's last step.
+    Measures of the two outcomes of any qubit sum to 1.
     """
-    o = OutcomeSpec.checked(o, net.n)
-    sign = 1.0 if o.outcome == 0 else -1.0
-    return (1.0 + sign * _reference_expectation(net.descriptors[o.qubit].qz, net.n)) / 2.0
+    return joint_measure(net, [o])
 
 
 def _last_reads(m: PauliSum, qz: PauliSum, n: int) -> tuple[float, float]:
@@ -511,8 +497,8 @@ def joint_measure(net: DescriptorNetwork, outcomes) -> float:
     order.  The projectors commute, so order is irrelevant; the picture
     equivalence suite checks both orders.
     """
-    specs = OutcomeSpec.checked_record(outcomes, net.n)
-    return record_measures(net, [s.qubit for s in specs])[OutcomeSpec.record_index(specs)]
+    qubits, index = checked_record(outcomes, net.n)
+    return record_measures(net, qubits)[index]
 
 
 def record_measures(net: DescriptorNetwork, qubits) -> tuple[float, ...]:
@@ -525,7 +511,7 @@ def record_measures(net: DescriptorNetwork, qubits) -> tuple[float, ...]:
     the last step reads both outcomes from one x1 == x2 product, so shared
     record prefixes are folded once.
     """
-    qzs = [net.descriptors[q].qz for q in OutcomeSpec.checked_qubits(qubits, net.n)]
+    qzs = [net.descriptors[q].qz for q in checked_qubits(qubits, net.n)]
     return _fold_records({0: 1.0}, qzs, net.n) if qzs else (1.0,)
 
 
@@ -546,15 +532,21 @@ def _fold_records(m: PauliSum, qzs: list[PauliSum], n: int) -> tuple[float, ...]
 
 
 def conditional_measure(net: DescriptorNetwork, given, then) -> float:
-    """Share of the `given` branch that also carries the `then` record."""
-    given, then = OutcomeSpec.checked_record([given, then], net.n)
-    base = branch_measure(net, given)
+    """Share of the `given` branch that also carries the `then` record.
+
+    Both reads are record reads: the base is the `given` entry of
+    :func:`record_measures` on its qubit, the joint the ``[given, then]``
+    entry on both qubits, so the quotient is exactly
+    ``joint_measure(net, [given, then]) / branch_measure(net, given)``.
+    """
+    qubits, index = checked_record([given, then], net.n)
+    base = record_measures(net, qubits[:1])[index >> 1]
     if base <= ZERO_MEASURE:
         raise ValueError(
-            f"conditioning on a zero-measure branch (qubit {given.qubit}, "
-            f"outcome {given.outcome}, measure {base:.3e})"
+            f"conditioning on a zero-measure branch (qubit {qubits[0]}, "
+            f"outcome {index >> 1}, measure {base:.3e})"
         )
-    return joint_measure(net, [given, then]) / base
+    return record_measures(net, qubits)[index] / base
 
 
 def recomputed_components(
@@ -566,9 +558,8 @@ def recomputed_components(
     with the rows whose bit n-1-k is set negated; one product by dagger(U)
     each.
     """
-    n, qubit = _check_dense(n), as_index(qubit, "qubit")
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for n={n}")
+    n = _check_dense(n)
+    (qubit,) = checked_qubits([qubit], n)
     u = cumulative_unitary(n, gates)
     ud = linalg.dagger(u)
     rows = np.arange(2**n)
@@ -589,11 +580,12 @@ def locality_audit(
     circuit's unitary, which does not use the local update rule, must agree
     with their dense forms within the default tolerance.
     """
+    n = _check_dense(n)
+    (watched,) = checked_qubits([watched], n)
     prelude, remote_ops = list(prelude), list(remote_ops)
     for g in remote_ops:
         if watched in g.targets:
             raise ValueError(f"remote op {g.name} targets the watched qubit {watched}")
-    # Also rejects a watched qubit outside [0, n) before it indexes a network.
     qx_audit, qz_audit = recomputed_components(n, prelude + remote_ops, watched)
     net = apply_circuit(init_network(n), prelude)
     before = net.descriptors[watched]

@@ -123,14 +123,30 @@ def classical_optimum() -> tuple[Fraction, list[DeterministicStrategy]]:
     return best, optima
 
 
+def is_weight(w) -> bool:
+    """True for an int, Fraction, finite float or fraction string (a bool is none)."""
+    if isinstance(w, bool) or not isinstance(w, (int, float, Fraction, str)):
+        return False
+    try:
+        Fraction(w)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return False
+    return True
+
+
 def mixed_strategy_rate(weights: Sequence) -> Fraction:
     """Exact win rate of a probability mixture over the 16 strategies.
 
     Weights follow :func:`all_strategies` order and may be ints, Fractions,
-    floats, or strings like "1/16"; they must be nonnegative and sum to 1
-    exactly.  By convexity the result never exceeds 3/4.
+    finite floats, or strings like "1/16" (:func:`is_weight`); they must be
+    nonnegative and sum to 1 exactly.  By convexity the result never
+    exceeds 3/4.
     """
-    ws = [Fraction(w) for w in weights]
+    ws = list(weights)
+    for w in ws:
+        if not is_weight(w):
+            raise ValueError(f"a weight must be a finite number or fraction string, got {w!r}")
+    ws = [Fraction(w) for w in ws]
     if len(ws) != 16:
         raise ValueError(f"need one weight per strategy (16), got {len(ws)}")
     if any(w < 0 for w in ws):
@@ -183,11 +199,8 @@ class QuantumProtocol:
         return self.theta_b1 if _check_bit(qb, "qb") else self.theta_b0
 
     def round_gates(self, q: QuestionPair) -> list[GateSpec]:
-        """Bell prep followed by this round's two local rotations."""
-        return bell_prep_gates() + [
-            GateSpec.roty(self.alice_angle(q.qa), 0),
-            GateSpec.roty(self.bob_angle(q.qb), 1),
-        ]
+        """This round's circuit: :func:`round_circuit` at the question pair's angles."""
+        return round_circuit(self.alice_angle(q.qa), self.bob_angle(q.qb))
 
 
 #: Canonical optimal angles: Alice measures at 0 or pi/2, Bob at +/- pi/4.
@@ -199,22 +212,20 @@ def default_protocol() -> QuantumProtocol:
     return QuantumProtocol(*CANONICAL_ANGLES)
 
 
-def bell_prep_gates() -> list[GateSpec]:
-    """Preparation circuit for the shared Bell pair."""
-    return [GateSpec.h(0), GateSpec.cnot(0, 1)]
+def round_circuit(alice_theta: float, bob_theta: float) -> list[GateSpec]:
+    """One round's circuit: the Bell pair (H on 0, CNOT 0 -> 1), then both rotations."""
+    bell_pair = [GateSpec.h(0), GateSpec.cnot(0, 1)]
+    return bell_pair + [GateSpec.roty(alice_theta, 0), GateSpec.roty(bob_theta, 1)]
 
 
 def oracle_win_probability(alice_theta: float, bob_theta: float, q: QuestionPair) -> float:
     """Win probability of one round, computed by the state-vector oracle.
 
-    Independent of the descriptor engine: prepares the Bell pair, applies
-    the two given rotations, and sums Born-rule probabilities over the
-    winning outcome pairs.
+    Runs :func:`round_circuit`, the same circuit the engine plays, through
+    the state-vector oracle, which shares no application code with the
+    engine, and sums Born-rule probabilities over the winning outcome pairs.
     """
-    state = statevector.run_circuit(2, bell_prep_gates() + [
-        GateSpec.roty(alice_theta, 0),
-        GateSpec.roty(bob_theta, 1),
-    ])
+    state = statevector.run_circuit(2, round_circuit(alice_theta, bob_theta))
     probabilities = statevector.record_probabilities(state, [0, 1])
     total = 0.0
     for aa in (0, 1):
@@ -325,10 +336,10 @@ def branch_tree(p: QuantumProtocol, q: QuestionPair, perspective: str = "alice")
     net = build_round_network(p, q)
     first = 0 if perspective == "alice" else 1
     second = 1 - first
+    parents = descriptors.record_measures(net, [first])
     joints = descriptors.record_measures(net, [first, second])
     nodes = []
-    for first_outcome in (0, 1):
-        parent = descriptors.branch_measure(net, (first, first_outcome))
+    for first_outcome, parent in enumerate(parents):
         leaves = []
         for second_outcome in (0, 1):
             joint = joints[2 * first_outcome + second_outcome]
@@ -374,6 +385,5 @@ def redundancy_demo(m: int) -> float:
     gates += [GateSpec.cnot(0, witness) for witness in range(1, m + 1)]
     gates += [GateSpec.h(0)]
     net = descriptors.apply_circuit(descriptors.init_network(1 + m), gates)
-    return abs(
-        descriptors.branch_measure(net, (0, 0)) - descriptors.branch_measure(net, (0, 1))
-    )
+    zero, one = descriptors.record_measures(net, [0])
+    return abs(zero - one)

@@ -118,17 +118,6 @@ class Geometry:
         return self.answer_window_minutes < self.distance_light_minutes
 
 
-def _is_weight(w) -> bool:
-    """True for an int, Fraction, finite float or fraction string."""
-    if isinstance(w, bool) or not isinstance(w, (int, float, Fraction, str)):
-        return False
-    try:
-        Fraction(w)
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class TournamentConfig:
     """Everything one tournament run depends on.
@@ -168,7 +157,7 @@ class TournamentConfig:
             object.__setattr__(self, "strategy", DeterministicStrategy(*bits))
         if self.mode == "mixed" or self.weights is not None:
             weights = self.weights
-            if not isinstance(weights, (list, tuple)) or not all(map(_is_weight, weights)):
+            if not isinstance(weights, (list, tuple)) or not all(map(game.is_weight, weights)):
                 raise ValueError(
                     f"weights must be a list of 16 numbers or fraction strings, got {weights!r}"
                 )

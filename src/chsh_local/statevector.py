@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from . import linalg
-from .descriptors import GateSpec, OutcomeSpec, as_index
+from .descriptors import GateSpec, as_index, checked_qubits, checked_record
 from .linalg import MAX_QUBITS
 
 
@@ -105,8 +105,8 @@ def outcome_probability(state: StateVector, outcomes) -> float:
     The record's entry of :func:`record_probabilities` on its qubits, in
     record order.  An empty record has probability 1.
     """
-    specs = OutcomeSpec.checked_record(outcomes, state.n)
-    return record_probabilities(state, [s.qubit for s in specs])[OutcomeSpec.record_index(specs)]
+    qubits, index = checked_record(outcomes, state.n)
+    return record_probabilities(state, qubits)[index]
 
 
 def record_probabilities(state: StateVector, qubits) -> tuple[float, ...]:
@@ -120,7 +120,7 @@ def record_probabilities(state: StateVector, qubits) -> tuple[float, ...]:
     holds record j's entries in index order, and one row sum gives every
     record the float a per-record mask would.
     """
-    record = OutcomeSpec.checked_qubits(qubits, state.n)
+    record = checked_qubits(qubits, state.n)
     if not record:
         # The empty record is certain; the sum of every |amplitude|**2 is
         # only 1 up to rounding.

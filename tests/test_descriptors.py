@@ -522,9 +522,9 @@ def test_malformed_outcomes_are_rejected_by_name(call, got):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: descriptors.OutcomeSpec.checked((1.7, 0), 2), "qubit must be an int, got 1.7"),
-        (lambda: descriptors.OutcomeSpec.checked((True, 0), 2), "qubit must be an int, got True"),
-        (lambda: descriptors.OutcomeSpec.checked((1, 1.0), 2), "outcome must be an int, got 1.0"),
+        (lambda: descriptors.checked_record([(1.7, 0)], 2), "qubit must be an int, got 1.7"),
+        (lambda: descriptors.checked_record([(True, 0)], 2), "qubit must be an int, got True"),
+        (lambda: descriptors.checked_record([(1, 1.0)], 2), "outcome must be an int, got 1.0"),
         (
             lambda: descriptors.record_measures(bell_network(), [0.5, 1]),
             "qubit must be an int, got 0.5",
@@ -600,7 +600,7 @@ def test_non_iterable_targets_and_records_are_rejected_by_name(call, message):
 
 
 def test_numpy_integers_are_indices():
-    assert descriptors.OutcomeSpec.checked((np.int64(1), np.uint8(0)), 2) == (1, 0)
+    assert descriptors.checked_record([(np.int64(1), np.uint8(0))], 2) == ([1], 0)
     assert type(GateSpec("X", (np.int64(1),)).targets[0]) is int
     cnot = GateSpec.cnot(np.int64(0), np.uint8(2))
     assert cnot.targets == (0, 2)
@@ -644,6 +644,12 @@ class TestLocality:
         for bad in (5, -1):
             with pytest.raises(ValueError, match=f"qubit {bad} out of range for n=2"):
                 descriptors.locality_audit(2, BELL_PREP, bad, [])
+
+    @pytest.mark.parametrize("watched", [True, 1.0])
+    def test_audit_checks_the_watched_qubit_before_the_remote_ops(self, watched):
+        message = f"qubit must be an int, got {watched!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            descriptors.locality_audit(2, [], watched, [GateSpec.x(1)])
 
     def test_recomputed_components_match_stored(self):
         gates = [GateSpec.h(0), GateSpec.cnot(0, 1), GateSpec.roty(-0.3, 0)]
@@ -725,7 +731,7 @@ def full_fold_joint_measure(net, outcomes):
         m = descriptors._combine(
             (0.5, m), (0.5 * sign, descriptors._product(m, net.descriptors[qubit].qz, net.n))
         )
-    return descriptors._reference_expectation(m, net.n)
+    return float(sum(c for key, c in m.items() if key >> net.n == 0))
 
 
 def test_joint_measure_equals_the_full_fold_bit_for_bit():
@@ -744,3 +750,44 @@ def test_joint_measure_equals_the_full_fold_bit_for_bit():
         for j, bits in enumerate(itertools.product((0, 1), repeat=len(qubits))):
             record = list(zip(qubits, bits))
             assert measures[j] == full_fold_joint_measure(net, record)
+
+
+def seeded_networks(seed, count, min_qubits=1):
+    """`count` networks of random circuits on min_qubits..4 qubits, depth 1..20."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(min_qubits, 5))
+        gates = verify.random_circuit(rng, n, int(rng.integers(1, 21)))
+        yield rng, descriptors.apply_circuit(descriptors.init_network(n), gates)
+
+
+def test_branch_measure_is_the_one_qubit_record_read_bit_for_bit():
+    for _, net in seeded_networks(5, 300):
+        for q in range(net.n):
+            reads = descriptors.record_measures(net, [q])
+            assert descriptors.branch_measure(net, (q, 0)) == reads[0]
+            assert descriptors.branch_measure(net, (q, 1)) == reads[1]
+
+
+def test_conditional_measure_is_joint_over_branch_exactly():
+    checked = 0
+    for rng, net in seeded_networks(13, 200, min_qubits=2):
+        g, t = rng.permutation(net.n)[:2].tolist()
+        for given, then in itertools.product([(g, 0), (g, 1)], [(t, 0), (t, 1)]):
+            base = descriptors.branch_measure(net, given)
+            if base <= descriptors.ZERO_MEASURE:
+                continue
+            joint = descriptors.joint_measure(net, [given, then])
+            assert descriptors.conditional_measure(net, given, then) == joint / base
+            checked += 1
+    assert checked > 400
+
+
+def test_checked_record_gives_plain_ints_and_the_record_index():
+    record = [(np.int64(2), np.uint8(1)), (np.uint8(0), np.int64(0)), (1, 1)]
+    qubits, index = descriptors.checked_record(record, 3)
+    assert (qubits, index) == ([2, 0, 1], 0b101)
+    assert [type(q) for q in qubits] == [int, int, int] and type(index) is int
+    assert descriptors.checked_record([], 3) == ([], 0)
+    qubits = descriptors.checked_qubits((np.uint8(1), np.int64(0)), 2)
+    assert qubits == [1, 0] and [type(q) for q in qubits] == [int, int]

@@ -1,13 +1,14 @@
 """Tests for the CHSH game layer."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chsh_local import descriptors, game
+from chsh_local import descriptors, game, statevector
 from chsh_local.game import (
     QUANTUM_WIN_RATE,
     QUESTION_PAIRS,
@@ -123,6 +124,17 @@ class TestMixedStrategies:
         with pytest.raises(ValueError):
             game.mixed_strategy_rate(bad)
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[True] + [0] * 15, [None] * 16, [[1]] * 16, [math.inf] * 16, [math.nan] * 16,
+         ["1/0"] * 16, ["x"] * 16, [object()] * 16],
+        ids=["bool", "none", "list", "inf", "nan", "zero-denominator", "text", "object"],
+    )
+    def test_non_weights_rejected_by_name(self, weights):
+        message = f"a weight must be a finite number or fraction string, got {weights[0]!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            game.mixed_strategy_rate(weights)
+
     def test_string_and_float_weights_accepted(self):
         weights = ["1/16"] * 16
         assert game.mixed_strategy_rate(weights) == Fraction(1, 2)
@@ -161,6 +173,18 @@ class TestQuantumProtocol:
             angles[index] = bad
             with pytest.raises(ValueError, match=f"{name} needs a finite real angle, got {bad!r}"):
                 QuantumProtocol(*angles)
+
+    def test_engine_and_oracle_receive_one_round_circuit(self):
+        p = game.default_protocol()
+        for q in QUESTION_PAIRS:
+            circuit = game.round_circuit(p.alice_angle(q.qa), p.bob_angle(q.qb))
+            assert p.round_gates(q) == circuit
+            assert [g.name for g in circuit] == ["H", "CNOT", "ROTY", "ROTY"]
+            state = statevector.run_circuit(2, circuit)
+            probabilities = statevector.record_probabilities(state, [0, 1])
+            won = sum(probabilities[2 * aa + ab] for aa in (0, 1) for ab in (0, 1)
+                      if game.win_predicate(q, aa, ab))
+            assert game.oracle_win_probability(p.alice_angle(q.qa), p.bob_angle(q.qb), q) == won
 
     def test_oracle_value_on_all_pairs(self):
         p = game.default_protocol()
