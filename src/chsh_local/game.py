@@ -124,7 +124,7 @@ def classical_optimum() -> tuple[Fraction, list[DeterministicStrategy]]:
 
 
 def is_weight(w) -> bool:
-    """True for an int, Fraction, finite float or fraction string (a bool is none)."""
+    """True for an int, Fraction, finite float or fraction string; a bool is not one."""
     if isinstance(w, bool) or not isinstance(w, (int, float, Fraction, str)):
         return False
     try:
